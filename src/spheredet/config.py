@@ -65,11 +65,19 @@ _SCALAR_KEYS = {
 }
 
 
+def _number(kind: type, value: Any, origin: str, name: str) -> Any:
+    """``kind(value)``, or a ValueError naming the origin and the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{origin}: {name} must be a number, got {value!r}") from None
+
+
 def _build(base: HarnessConfig, overrides: Mapping[str, Any], origin: str) -> HarnessConfig:
     changes: Dict[str, Any] = {}
     for key, value in overrides.items():
         if key in _SCALAR_KEYS:
-            changes[key] = _SCALAR_KEYS[key](value)
+            changes[key] = _number(_SCALAR_KEYS[key], value, origin, key)
         elif key == "nms":
             if not isinstance(value, Mapping):
                 raise ValueError(f"{origin}: 'nms' must be an object")
@@ -77,7 +85,7 @@ def _build(base: HarnessConfig, overrides: Mapping[str, Any], origin: str) -> Ha
             for sub, subval in value.items():
                 if sub not in nms_kwargs:
                     raise ValueError(f"{origin}: unknown nms key {sub!r}")
-                nms_kwargs[sub] = float(subval)
+                nms_kwargs[sub] = _number(float, subval, origin, f"nms {sub}")
             changes["nms"] = NmsParams(**nms_kwargs)
         elif key == "grid":
             if not isinstance(value, Mapping):
@@ -87,12 +95,15 @@ def _build(base: HarnessConfig, overrides: Mapping[str, Any], origin: str) -> Ha
                 if sub == "dims":
                     if not isinstance(subval, (list, tuple)) or len(subval) != 3:
                         raise ValueError(f"{origin}: grid dims must have 3 entries")
-                    dims = tuple(int(v) for v in subval)
+                    dims = tuple(_number(int, v, origin, "grid dims") for v in subval)
                 elif sub == "stride":
-                    stride = float(subval)
+                    stride = _number(float, subval, origin, "grid stride")
                 else:
                     raise ValueError(f"{origin}: unknown grid key {sub!r}")
-            changes["grid"] = GridSpec(dims=dims, stride=stride)
+            try:
+                changes["grid"] = GridSpec(dims=dims, stride=stride)
+            except ValueError as exc:
+                raise ValueError(f"{origin}: {exc}") from None
         else:
             raise ValueError(f"{origin}: unknown config key {key!r}")
     return dataclasses.replace(base, **changes) if changes else base

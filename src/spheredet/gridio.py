@@ -89,7 +89,8 @@ def read_grid(path: Path) -> PredictionGrid:
 
     Raises:
         ValueError: on a bad magic prefix, malformed or incomplete header,
-            unsupported dtype, or payload size mismatch.
+            wrongly typed header value, unsupported dtype, or payload size
+            mismatch.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -104,6 +105,8 @@ def read_grid(path: Path) -> PredictionGrid:
         header = json.loads(rest[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed header JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     for key in ("dims", "stride", "level", "dtype"):
         if key not in header:
             raise ValueError(f"{path}: header missing {key!r}")
@@ -116,7 +119,13 @@ def read_grid(path: Path) -> PredictionGrid:
         or not all(isinstance(v, int) and v >= 1 for v in dims)
     ):
         raise ValueError(f"{path}: bad dims {dims!r}")
-    spec = GridSpec(dims=tuple(dims), stride=header["stride"])
+    level = header["level"]
+    if not isinstance(level, int):
+        raise ValueError(f"{path}: bad level {level!r}")
+    try:
+        spec = GridSpec(dims=tuple(dims), stride=header["stride"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     d, h, w = spec.dims
     payload = rest[newline + 1:]
     expected = 5 * d * h * w * 4
@@ -132,7 +141,7 @@ def read_grid(path: Path) -> PredictionGrid:
         center_prob=maps[0],
         radius=maps[1],
         offset=offset,
-        level=int(header["level"]),
+        level=level,
         scan_id=str(scan_id),
     )
 

@@ -25,12 +25,23 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Point3
+
+
+def _is_count(value) -> bool:
+    """True for a finite real number >= 1 with no fractional part."""
+    return (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and value >= 1
+        and int(value) == value
+    )
 
 
 @dataclass(frozen=True)
@@ -46,9 +57,9 @@ class GridSpec:
     stride: int
 
     def __post_init__(self) -> None:
-        if len(self.dims) != 3 or any(int(d) != d or d < 1 for d in self.dims):
+        if len(self.dims) != 3 or not all(_is_count(d) for d in self.dims):
             raise ValueError(f"grid dims must be 3 positive integers, got {self.dims!r}")
-        if int(self.stride) != self.stride or self.stride < 1:
+        if not _is_count(self.stride):
             raise ValueError(f"grid stride must be a positive integer, got {self.stride!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "stride", int(self.stride))

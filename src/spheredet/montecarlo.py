@@ -7,10 +7,12 @@ hugs the lens, the hit fraction stays bounded below (~pi/8) in every regime,
 so the relative error is ~1/sqrt(samples) with a small constant even for
 sliver overlaps.
 
-Backends: a compiled kernel (``spheredet._mc_core``, built from Cython) when
-available, otherwise a pure-numpy fallback.  Both consume the identical
+Backends: the compiled kernel ``spheredet._mc_core`` when it has been built
+(``python setup.py build_ext --inplace`` compiles the hand-written
+``_mc_core.c``; it needs only a C compiler and the NumPy headers), otherwise
+the pure-numpy fallback ``spheredet._mc_python``.  Both consume the identical
 PCG64 stream and return bit-identical counts; set ``SPHEREDET_FORCE_PYTHON=1``
-to force the fallback.
+to force the fallback.  ``backend_name()`` reports which one is in use.
 """
 
 from __future__ import annotations

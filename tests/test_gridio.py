@@ -114,6 +114,22 @@ def test_grid_rejects_bad_dims(tmp_path):
         read_grid(path)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"5", "not a JSON object"),
+        (b'{"dims":[1,1,1],"stride":[4],"level":0,"dtype":"f32le"}', "stride"),
+        (b'{"dims":[1,1,1],"stride":0.5,"level":0,"dtype":"f32le"}', "stride"),
+        (b'{"dims":[1,1,1],"stride":4,"level":1.5,"dtype":"f32le"}', "level"),
+    ],
+)
+def test_grid_rejects_wrongly_typed_header(tmp_path, header, message):
+    path = tmp_path / "typed.grid"
+    path.write_bytes(b"SCPMGRID1\n" + header + b"\n" + b"\0" * 20)
+    with pytest.raises(ValueError, match=f"typed.grid: .*{message}"):
+        read_grid(path)
+
+
 def test_grid_rejects_missing_header_line(tmp_path):
     path = tmp_path / "noheader.grid"
     path.write_bytes(b"SCPMGRID1\n")

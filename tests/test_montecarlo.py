@@ -1,6 +1,9 @@
 """Sampling-based volume estimate vs the closed form, and backend parity."""
 
+import datetime
 import math
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -78,13 +81,14 @@ def test_rejects_bad_sample_count():
         mc_intersection_volume(a, b, samples=0, seed=0)
 
 
-def test_backends_count_identically():
+@pytest.mark.parametrize("n", [1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1])
+def test_backends_count_identically(n):
+    # The counts straddle the fallback's 2^20-sample chunk boundary.
     compiled = pytest.importorskip("spheredet._mc_core")
     for r_a, r_b, d in PAIRS:
         box = _lens_box(r_a, r_b, d)
         assert box is not None
         x_lo, x_hi, rho = box
-        n = 100_000
         hits_compiled = compiled.count_hits(
             np.random.PCG64(123), n, r_a, r_b, d, x_lo, x_hi, rho
         )
@@ -92,6 +96,15 @@ def test_backends_count_identically():
             np.random.PCG64(123), n, r_a, r_b, d, x_lo, x_hi, rho
         )
         assert hits_compiled == hits_python
+
+
+def test_compiled_kernel_rejects_a_foreign_capsule():
+    compiled = pytest.importorskip("spheredet._mc_core")
+    for capsule in (datetime.datetime_CAPI, None):
+        fake = types.SimpleNamespace(capsule=capsule, lock=threading.Lock())
+        with pytest.raises(ValueError, match="BitGenerator capsule"):
+            compiled.count_hits(fake, 10, 1.0, 1.0, 1.0, 0.0, 1.0, 0.5)
+        assert not fake.lock.locked()
 
 
 # --------------------------------------------------------------------------

@@ -354,6 +354,41 @@ def test_cli_unknown_config_key_fails(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def _assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"k": [1]},
+        {"seed": "x"},
+        {"n": float("inf")},
+        {"nms": {"tau_dr": None}},
+        {"grid": {"stride": "x"}},
+        {"grid": {"stride": float("inf")}},
+        {"grid": {"dims": [6, [6], 6]}},
+    ],
+)
+def test_cli_wrongly_typed_config_value_fails_cleanly(tmp_path, capsys, raw):
+    annotations, _ = _write_assign_fixture(tmp_path)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    rc = main(
+        [
+            "assign",
+            "--annotations", str(annotations),
+            "--scan-id", "t1",
+            "--out", str(tmp_path / "assign.json"),
+            "--config", str(config),
+        ]
+    )
+    assert rc == 2
+    _assert_one_line_error(capsys, f"error: {config}: ")
+
+
 # --------------------------------------------------------------------------
 # CLI: detect and froc
 
@@ -395,6 +430,26 @@ def test_cli_detect_merges_levels(tmp_path):
     meta = json.loads((tmp_path / "candidates.csv.meta.json").read_text())
     assert meta["scans"]["s"]["kept"] == 1
     assert meta["scans"]["s"]["dropped_nonpositive_radius"] == 7 + 63
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"5",
+        b'["dims"]',
+        b'{"dims":[1,1,1],"stride":[4],"level":0,"dtype":"f32le"}',
+        b'{"dims":[1,1,1],"stride":"4","level":0,"dtype":"f32le"}',
+        b'{"dims":[1,1,1],"stride":Infinity,"level":0,"dtype":"f32le"}',
+        b'{"dims":[1,1,1],"stride":4,"level":[0],"dtype":"f32le"}',
+        b'{"dims":[1,1,1],"stride":4,"level":"0","dtype":"f32le"}',
+    ],
+)
+def test_cli_detect_wrongly_typed_grid_header_fails_cleanly(tmp_path, capsys, header):
+    grid = tmp_path / "bad.grid"
+    grid.write_bytes(b"SCPMGRID1\n" + header + b"\n" + b"\0" * 20)
+    rc = main(["detect", "--grids", str(grid), "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    _assert_one_line_error(capsys, f"error: {grid}: ")
 
 
 def test_cli_detect_missing_grid_fails(tmp_path, capsys):
