@@ -20,6 +20,7 @@ from .gridio import (
     read_annotations,
     read_candidates,
     read_grid,
+    read_scan_list,
     write_annotations,
     write_candidates,
     write_froc_csv,
@@ -240,7 +241,15 @@ def _cmd_froc(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations = read_annotations(args.annotations)
     candidates = read_candidates(args.candidates)
-    scan_ids = sorted(set(annotations) | set(candidates))
+    if args.scans is None:
+        scan_ids = sorted(set(annotations) | set(candidates))
+    else:
+        listed = set(read_scan_list(args.scans))
+        for source, by_scan in ((args.annotations, annotations), (args.candidates, candidates)):
+            unlisted = sorted(set(by_scan) - listed)
+            if unlisted:
+                raise ValueError(f"{source}: scan {unlisted[0]!r} is not in {args.scans}")
+        scan_ids = sorted(listed)
     results = [
         ScanResult(
             scan_id=scan_id,
@@ -326,6 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--csv", type=Path, default=None)
+    p.add_argument(
+        "--scans",
+        type=Path,
+        default=None,
+        help="seriesuid list, one per line; every listed scan counts toward FPs/scan",
+    )
     _add_config_flags(p)
     p.set_defaults(handler=_cmd_froc)
 

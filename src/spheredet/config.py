@@ -30,7 +30,7 @@ class HarnessConfig:
     alpha: float = 0.375
     gamma: float = 2.0
     nms: NmsParams = field(default_factory=NmsParams)
-    grid: GridSpec = field(default_factory=lambda: GridSpec(dims=(24, 24, 24), stride=4.0))
+    grid: GridSpec = field(default_factory=lambda: GridSpec(dims=(24, 24, 24), stride=4))
     seed: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
@@ -73,11 +73,24 @@ def _number(kind: type, value: Any, origin: str, name: str) -> Any:
         raise ValueError(f"{origin}: {name} must be a number, got {value!r}") from None
 
 
+def _integer(value: Any, origin: str, name: str) -> int:
+    """``value`` as an int when it has no fractional part, else a ValueError."""
+    if isinstance(value, int):
+        return int(value)
+    number = _number(float, value, origin, name)
+    if not number.is_integer():
+        raise ValueError(f"{origin}: {name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _build(base: HarnessConfig, overrides: Mapping[str, Any], origin: str) -> HarnessConfig:
     changes: Dict[str, Any] = {}
     for key, value in overrides.items():
         if key in _SCALAR_KEYS:
-            changes[key] = _number(_SCALAR_KEYS[key], value, origin, key)
+            if _SCALAR_KEYS[key] is int:
+                changes[key] = _integer(value, origin, key)
+            else:
+                changes[key] = _number(float, value, origin, key)
         elif key == "nms":
             if not isinstance(value, Mapping):
                 raise ValueError(f"{origin}: 'nms' must be an object")
@@ -86,7 +99,10 @@ def _build(base: HarnessConfig, overrides: Mapping[str, Any], origin: str) -> Ha
                 if sub not in nms_kwargs:
                     raise ValueError(f"{origin}: unknown nms key {sub!r}")
                 nms_kwargs[sub] = _number(float, subval, origin, f"nms {sub}")
-            changes["nms"] = NmsParams(**nms_kwargs)
+            try:
+                changes["nms"] = NmsParams(**nms_kwargs)
+            except ValueError as exc:
+                raise ValueError(f"{origin}: {exc}") from None
         elif key == "grid":
             if not isinstance(value, Mapping):
                 raise ValueError(f"{origin}: 'grid' must be an object")
@@ -95,9 +111,9 @@ def _build(base: HarnessConfig, overrides: Mapping[str, Any], origin: str) -> Ha
                 if sub == "dims":
                     if not isinstance(subval, (list, tuple)) or len(subval) != 3:
                         raise ValueError(f"{origin}: grid dims must have 3 entries")
-                    dims = tuple(_number(int, v, origin, "grid dims") for v in subval)
+                    dims = tuple(_integer(v, origin, "grid dims") for v in subval)
                 elif sub == "stride":
-                    stride = _number(float, subval, origin, "grid stride")
+                    stride = _integer(subval, origin, "grid stride")
                 else:
                     raise ValueError(f"{origin}: unknown grid key {sub!r}")
             try:

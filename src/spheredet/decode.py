@@ -6,6 +6,14 @@ radius is nonpositive are dropped (counted, never clamped).  Candidate
 ordering everywhere is descending score, with ties broken by ascending
 linear index of the producing cell and then by level tag, which makes the
 pipeline output independent of input permutation.
+
+Sphere NMS skips pairs that cannot interact.  A pair can only be suppressed
+when ``siou > tau_siou >= 0``, which needs ``d < r_a + r_b``, or when
+``d / (d + s) < tau_dr`` with ``s = r_a + r_b``, which needs
+``d < s * tau_dr / (1 - tau_dr)``.  A vectorised distance test with
+``reach = max(1, tau_dr / (1 - tau_dr))`` (plus a rounding slack) discards
+the rest; every pair that passes is still decided by the scalar ``siou`` and
+``distance_radius_ratio``, so the kept list equals the plain quadratic loop.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from functools import reduce
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -85,6 +94,12 @@ class NmsParams:
     tau_siou: float = 0.05
     tau_dr: float = 0.5
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.tau_siou, Real) and 0.0 <= self.tau_siou <= 1.0):
+            raise ValueError(f"tau_siou must lie in [0, 1], got {self.tau_siou!r}")
+        if not (isinstance(self.tau_dr, Real) and 0.0 <= self.tau_dr < 1.0):
+            raise ValueError(f"tau_dr must lie in [0, 1), got {self.tau_dr!r}")
+
 
 @dataclass
 class DecodeStats:
@@ -138,7 +153,13 @@ def top_n_candidates(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     flat = grid.center_prob.ravel()
-    order = np.argsort(-flat, kind="stable")[: min(n, flat.size)]
+    n = min(n, flat.size)
+    # Same order as np.argsort(-flat, kind="stable")[:n]: every cell above
+    # the n-th largest value, then the lowest-index cells equal to it.
+    floor = np.partition(flat, flat.size - n)[flat.size - n]
+    above = np.flatnonzero(flat > floor)
+    chosen = np.concatenate([above, np.flatnonzero(flat == floor)[: n - above.size]])
+    order = chosen[np.lexsort((chosen, -flat[chosen]))]
     d, h, w = grid.spec.dims
     out: List[Candidate] = []
     for lin in order:
@@ -165,23 +186,34 @@ def nms_siou(candidates: Sequence[Candidate], params: NmsParams) -> List[Candida
     every candidate that overlaps it (siou > tau_siou) or sits too close to
     it (distance_radius_ratio < tau_dr).  The kept list is an antichain
     under those two tests and the operation is idempotent.
+
+    Only pairs with center distance ``d <= (r_a + r_b) * reach``, where
+    ``reach = max(1, tau_dr / (1 - tau_dr))``, can meet either test (see the
+    module docstring); the rest are skipped with one vector distance per
+    kept candidate.  The scalar tests still decide every remaining pair.
+    The relative slack ``1e-9 / (1 - tau_dr)`` on ``reach`` exceeds the
+    rounding error of both tests, including for tau_dr close to 1.
     """
     pending = sorted(candidates, key=_sort_key)
-    suppressed = [False] * len(pending)
+    centers = np.array([c.sphere.center for c in pending], dtype=np.float64).reshape(-1, 3)
+    radii = np.array([c.sphere.radius for c in pending], dtype=np.float64)
+    tau_dr = params.tau_dr
+    reach = max(1.0, tau_dr / (1.0 - tau_dr)) * (1.0 + 1e-9 / (1.0 - tau_dr))
+    alive = np.ones(len(pending), dtype=bool)
     kept: List[Candidate] = []
     for i, candidate in enumerate(pending):
-        if suppressed[i]:
+        if not alive[i]:
             continue
         kept.append(candidate)
-        for j in range(i + 1, len(pending)):
-            if suppressed[j]:
-                continue
+        rest = i + 1 + np.flatnonzero(alive[i + 1:])
+        d = np.sqrt(((centers[rest] - centers[i]) ** 2).sum(axis=1))
+        for j in rest[d <= (radii[i] + radii[rest]) * reach]:
             other = pending[j]
             if (
                 siou(candidate.sphere, other.sphere) > params.tau_siou
-                or distance_radius_ratio(candidate.sphere, other.sphere) < params.tau_dr
+                or distance_radius_ratio(candidate.sphere, other.sphere) < tau_dr
             ):
-                suppressed[j] = True
+                alive[j] = False
     return kept
 
 

@@ -87,6 +87,10 @@ def write_grid(path: Path, grid: PredictionGrid) -> None:
 def read_grid(path: Path) -> PredictionGrid:
     """Parses the binary container back into a PredictionGrid.
 
+    The payload is read in place from the file bytes and widened to float64
+    once; ``offset`` is a (D, H, W, 3) view of the three offset blocks, not
+    a copy, so it is not C-contiguous.
+
     Raises:
         ValueError: on a bad magic prefix, malformed or incomplete header,
             wrongly typed header value, unsupported dtype, or payload size
@@ -97,12 +101,11 @@ def read_grid(path: Path) -> PredictionGrid:
     prefix = GRID_MAGIC + b"\n"
     if not data.startswith(prefix):
         raise ValueError(f"{path}: not a grid container (bad magic)")
-    rest = data[len(prefix):]
-    newline = rest.find(b"\n")
+    newline = data.find(b"\n", len(prefix))
     if newline < 0:
         raise ValueError(f"{path}: missing header line")
     try:
-        header = json.loads(rest[:newline].decode("utf-8"))
+        header = json.loads(data[len(prefix):newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed header JSON ({exc})") from exc
     if not isinstance(header, dict):
@@ -127,14 +130,13 @@ def read_grid(path: Path) -> PredictionGrid:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     d, h, w = spec.dims
-    payload = rest[newline + 1:]
+    payload = len(data) - (newline + 1)
     expected = 5 * d * h * w * 4
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    maps = np.frombuffer(payload, dtype="<f4").reshape(5, d, h, w).astype(np.float64)
-    offset = np.stack([maps[2], maps[3], maps[4]], axis=-1)
+    if payload != expected:
+        raise ValueError(f"{path}: payload is {payload} bytes, expected {expected}")
+    maps = np.frombuffer(data, dtype="<f4", offset=newline + 1).reshape(5, d, h, w)
+    maps = maps.astype(np.float64)
+    offset = np.moveaxis(maps[2:], 0, -1)
     scan_id = header.get("scan_id") or path.stem
     return PredictionGrid(
         spec=spec,
@@ -239,6 +241,12 @@ def read_candidates(path: Path) -> Dict[str, List[Candidate]]:
             Candidate(sphere=Sphere((x, y, z), radius), score=probability)
         )
     return by_scan
+
+
+def read_scan_list(path: Path) -> List[str]:
+    """Reads a scan list: one seriesuid per line, blank lines ignored."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [line.strip() for line in lines if line.strip()]
 
 
 def write_candidates(path: Path, rows: Sequence[Tuple[str, Candidate]]) -> None:

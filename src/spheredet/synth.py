@@ -33,7 +33,7 @@ class SyntheticSpec:
         clutter: number of false-positive spheres injected per scan.
     """
 
-    grid: GridSpec = field(default_factory=lambda: GridSpec(dims=(24, 24, 24), stride=4.0))
+    grid: GridSpec = field(default_factory=lambda: GridSpec(dims=(24, 24, 24), stride=4))
     nodules: Tuple[int, int] = (3, 6)
     radius_range: Tuple[float, float] = (4.0, 12.0)
     noise: float = 0.0

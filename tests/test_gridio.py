@@ -62,6 +62,26 @@ def test_grid_write_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_grid_rewrite_of_read_grid_is_byte_identical(tmp_path):
+    a, b = tmp_path / "a.grid", tmp_path / "b.grid"
+    write_grid(a, sample_grid())
+    loaded = read_grid(a)
+    # offset is a view of the one float64 payload array, not a copy
+    assert np.shares_memory(loaded.offset, loaded.center_prob.base)
+    write_grid(b, loaded)
+    assert b.read_bytes() == a.read_bytes()
+
+
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_grid_rejects_payload_off_by_one_byte(tmp_path, change):
+    path = tmp_path / "size.grid"
+    write_grid(path, sample_grid())
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] if change == "short" else data + b"\0")
+    with pytest.raises(ValueError, match=r"size\.grid: payload is \d+ bytes"):
+        read_grid(path)
+
+
 def test_grid_scan_id_falls_back_to_stem(tmp_path):
     path = tmp_path / "series-0012.grid"
     write_grid(path, sample_grid(scan_id=""))

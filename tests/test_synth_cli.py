@@ -389,6 +389,59 @@ def test_cli_wrongly_typed_config_value_fails_cleanly(tmp_path, capsys, raw):
     _assert_one_line_error(capsys, f"error: {config}: ")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"k": 2.7},
+        {"seed": 1.9},
+        {"top_n": "3.5"},
+        {"grid": {"dims": [6.5, 6, 6]}},
+        {"grid": {"stride": 4.5}},
+        {"nms": {"tau_dr": 1.5}},
+        {"nms": {"tau_siou": -0.1}},
+    ],
+)
+def test_cli_out_of_range_config_value_fails_cleanly(tmp_path, capsys, raw):
+    annotations, _ = _write_assign_fixture(tmp_path)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    rc = main(
+        [
+            "assign",
+            "--annotations", str(annotations),
+            "--scan-id", "t1",
+            "--out", str(tmp_path / "assign.json"),
+            "--config", str(config),
+        ]
+    )
+    assert rc == 2
+    _assert_one_line_error(capsys, f"error: {config}: ")
+
+
+def test_config_accepts_integral_floats_for_integer_keys(tmp_path):
+    from spheredet import load_config
+
+    config = tmp_path / "ints.json"
+    raw = {"k": 3.0, "seed": 2.0, "grid": {"dims": [6, 6.0, 6], "stride": 2.0}}
+    config.write_text(json.dumps(raw))
+    loaded = load_config(config)
+    assert (loaded.k, loaded.seed, loaded.grid) == (3, 2, GridSpec(dims=(6, 6, 6), stride=2))
+    assert type(loaded.k) is int and type(loaded.grid.stride) is int
+
+
+def test_cli_detect_rejects_tau_dr_flag_out_of_range(tmp_path, capsys):
+    rc = main(
+        [
+            "detect",
+            "--grids", str(tmp_path / "missing.grid"),
+            "--out", str(tmp_path / "out.csv"),
+            "--tau-dr", "1.5",
+        ]
+    )
+    assert rc == 2
+    _assert_one_line_error(capsys, "error: command line: tau_dr")
+
+
 # --------------------------------------------------------------------------
 # CLI: detect and froc
 
@@ -531,3 +584,49 @@ def test_cli_synth_detect_froc_round_trip(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["average"] == 1.0
     assert all(p["sensitivity"] == 1.0 for p in payload["points"])
+
+
+def _synth_detect(tmp_path, *synth_args):
+    data_dir = tmp_path / "data"
+    rc = main(["synth", "--out-dir", str(data_dir), *synth_args])
+    assert rc == 0
+    candidates = tmp_path / "candidates.csv"
+    grids = sorted(str(p) for p in data_dir.glob("*.grid"))
+    assert main(["detect", "--grids", *grids, "--out", str(candidates)]) == 0
+    scan_ids = json.loads((data_dir / "metadata.json").read_text())["scan_ids"]
+    return data_dir / "annotations.csv", candidates, scan_ids
+
+
+def test_cli_froc_scan_list_counts_scans_without_findings(tmp_path):
+    annotations, candidates, scan_ids = _synth_detect(
+        tmp_path, "--scans", "8", "--nodules", "0:1", "--seed", "5"
+    )
+    scans = tmp_path / "scans.txt"
+    scans.write_text("\n" + "\n\n".join(scan_ids) + "\n\n")
+    out = tmp_path / "froc.json"
+    base = ["froc", "--annotations", str(annotations), "--candidates", str(candidates)]
+    assert main(base + ["--out", str(out), "--scans", str(scans)]) == 0
+    listed = json.loads(out.read_text())
+    assert listed["n_scans"] == 8
+    # without the list only scans with a nodule or a candidate count
+    assert main(base + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n_scans"] < 8
+
+
+def test_cli_froc_rejects_scan_missing_from_list(tmp_path, capsys):
+    annotations, candidates, scan_ids = _synth_detect(
+        tmp_path, "--scans", "3", "--nodules", "1:1", "--seed", "9"
+    )
+    scans = tmp_path / "scans.txt"
+    scans.write_text("\n".join(scan_ids[1:]) + "\n")
+    rc = main(
+        [
+            "froc",
+            "--annotations", str(annotations),
+            "--candidates", str(candidates),
+            "--out", str(tmp_path / "froc.json"),
+            "--scans", str(scans),
+        ]
+    )
+    assert rc == 2
+    _assert_one_line_error(capsys, f"error: {annotations}: scan {scan_ids[0]!r} is not in ")
