@@ -20,6 +20,7 @@ from .gridio import (
     read_annotations,
     read_candidates,
     read_grid,
+    read_grid_header,
     read_scan_list,
     write_annotations,
     write_candidates,
@@ -212,17 +213,16 @@ def _cmd_assign(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    by_scan: Dict[str, list] = {}
+    by_scan: Dict[str, List[Path]] = {}
     for path in args.grids:
-        grid = read_grid(path)
-        by_scan.setdefault(grid.scan_id, []).append(grid)
+        by_scan.setdefault(read_grid_header(path).scan_id, []).append(path)
     rows = []
     per_scan_meta = {}
     for scan_id in sorted(by_scan):
         stats = DecodeStats()
-        kept = detect_candidates(
-            by_scan[scan_id], top_n=config.top_n, params=config.nms, stats=stats
-        )
+        grids = [read_grid(path) for path in by_scan[scan_id]]
+        kept = detect_candidates(grids, top_n=config.top_n, params=config.nms, stats=stats)
+        del grids  # free this scan's grids before the next scan's are read
         rows += [(scan_id, candidate) for candidate in kept]
         per_scan_meta[scan_id] = {
             "kept": len(kept),

@@ -33,7 +33,7 @@ from .matching import GridSpec
 
 @dataclass
 class PredictionGrid:
-    """Raw per-cell predictions on one grid.
+    """Raw per-cell predictions on one grid, as float32 or float64 arrays.
 
     Attributes:
         spec: grid geometry.
@@ -63,12 +63,13 @@ class PredictionGrid:
             raise ValueError(
                 f"offset shape {self.offset.shape} != {(d, h, w, 3)}"
             )
+        # NaN and +-inf show in min() or max(): no boolean temporaries.
         for name, arr in (("center_prob", self.center_prob),
                           ("radius", self.radius),
                           ("offset", self.offset)):
-            if not np.all(np.isfinite(arr)):
+            if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
                 raise ValueError(f"{name} contains non-finite values")
-        if np.any(self.center_prob < 0.0) or np.any(self.center_prob > 1.0):
+        if self.center_prob.min() < 0.0 or self.center_prob.max() > 1.0:
             raise ValueError("center_prob values must lie in [0, 1]")
 
 

@@ -10,7 +10,11 @@ The header carries {"dims": [D, H, W], "stride": R, "level": int,
 "dtype": "f32le"} plus an optional "scan_id"; the payload is five (D, H, W)
 blocks in z-major order: probability map, radius map, then the three offset
 channels (x, y, z).  Readers fall back to the file stem when the header has
-no scan id.
+no scan id.  The payload stays float32 in memory: ``read_grid`` returns views
+of one float32 buffer, and ``PredictionGrid`` takes float32 or float64 maps,
+which decode alike because widening float32 is exact and keeps order.  The
+``detect`` command reads every header first (``read_grid_header``), then
+holds one scan's grids at a time.
 
 All writers are atomic (temp file + rename) and byte-deterministic for
 identical inputs.
@@ -22,7 +26,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import BinaryIO, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +42,15 @@ CANDIDATE_HEADER = "seriesuid,coordX,coordY,coordZ,radius,probability"
 FROC_HEADER = "fps_per_scan,sensitivity"
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Writes a file via a same-directory temp file and atomic rename."""
+def atomic_write_bytes(path: Path, *chunks) -> None:
+    """Writes the chunks in order via a same-directory temp file and atomic
+    rename; a chunk is ``bytes`` or a C-contiguous array."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,47 +72,32 @@ def write_grid(path: Path, grid: PredictionGrid) -> None:
     }
     if grid.scan_id:
         header["scan_id"] = grid.scan_id
-    blocks = [
-        grid.center_prob,
-        grid.radius,
-        grid.offset[..., 0],
-        grid.offset[..., 1],
-        grid.offset[..., 2],
-    ]
-    payload = b"".join(np.ascontiguousarray(b, dtype="<f4").tobytes() for b in blocks)
-    blob = (
-        GRID_MAGIC
-        + b"\n"
-        + json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
-        + b"\n"
-        + payload
-    )
-    atomic_write_bytes(Path(path), blob)
+    payload = np.empty((5,) + grid.spec.dims, dtype="<f4")
+    payload[0] = grid.center_prob
+    payload[1] = grid.radius
+    payload[2:] = np.moveaxis(grid.offset, -1, 0)
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    atomic_write_bytes(Path(path), GRID_MAGIC + b"\n" + line + b"\n", payload)
 
 
-def read_grid(path: Path) -> PredictionGrid:
-    """Parses the binary container back into a PredictionGrid.
+class GridHeader(NamedTuple):
+    """The fields of a grid container's header line."""
 
-    The payload is read in place from the file bytes and widened to float64
-    once; ``offset`` is a (D, H, W, 3) view of the three offset blocks, not
-    a copy, so it is not C-contiguous.
+    spec: GridSpec
+    level: int
+    scan_id: str
 
-    Raises:
-        ValueError: on a bad magic prefix, malformed or incomplete header,
-            wrongly typed header value, unsupported dtype, or payload size
-            mismatch.
-    """
-    path = Path(path)
-    data = path.read_bytes()
+
+def _parse_grid_header(handle: BinaryIO, path: Path) -> GridHeader:
     prefix = GRID_MAGIC + b"\n"
-    if not data.startswith(prefix):
+    if handle.read(len(prefix)) != prefix:
         raise ValueError(f"{path}: not a grid container (bad magic)")
-    newline = data.find(b"\n", len(prefix))
-    if newline < 0:
+    line = handle.readline()
+    if not line.endswith(b"\n"):
         raise ValueError(f"{path}: missing header line")
     try:
-        header = json.loads(data[len(prefix):newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(line[:-1].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed header JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header is not a JSON object")
@@ -129,23 +120,50 @@ def read_grid(path: Path) -> PredictionGrid:
         spec = GridSpec(dims=tuple(dims), stride=header["stride"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    d, h, w = spec.dims
-    payload = len(data) - (newline + 1)
-    expected = 5 * d * h * w * 4
-    if payload != expected:
-        raise ValueError(f"{path}: payload is {payload} bytes, expected {expected}")
-    maps = np.frombuffer(data, dtype="<f4", offset=newline + 1).reshape(5, d, h, w)
-    maps = maps.astype(np.float64)
-    offset = np.moveaxis(maps[2:], 0, -1)
-    scan_id = header.get("scan_id") or path.stem
-    return PredictionGrid(
-        spec=spec,
-        center_prob=maps[0],
-        radius=maps[1],
-        offset=offset,
-        level=level,
-        scan_id=str(scan_id),
-    )
+    return GridHeader(spec, level, str(header.get("scan_id") or path.stem))
+
+
+def read_grid_header(path: Path) -> GridHeader:
+    """Parses a grid container's header as ``read_grid`` does, without the payload."""
+    path = Path(path)
+    with path.open("rb") as handle:
+        return _parse_grid_header(handle, path)
+
+
+def read_grid(path: Path) -> PredictionGrid:
+    """Parses the binary container back into a PredictionGrid.
+
+    The payload is read into one writable float32 (5, D, H, W) array and
+    stays float32; the maps are views of it.  ``offset`` is a (D, H, W, 3)
+    view of the three offset blocks, not a copy, so it is not C-contiguous.
+
+    Raises:
+        ValueError: on a bad magic prefix, malformed or incomplete header,
+            wrongly typed header value, unsupported dtype, payload size
+            mismatch, or maps that ``PredictionGrid`` rejects.
+    """
+    path = Path(path)
+    with path.open("rb") as handle:
+        header = _parse_grid_header(handle, path)
+        d, h, w = header.spec.dims
+        expected = 5 * d * h * w * 4
+        payload = os.fstat(handle.fileno()).st_size - handle.tell()
+        if payload == expected:
+            maps = np.empty((5, d, h, w), dtype="<f4")
+            payload = handle.readinto(maps)  # short if the file shrank meanwhile
+        if payload != expected:
+            raise ValueError(f"{path}: payload is {payload} bytes, expected {expected}")
+    try:
+        return PredictionGrid(
+            spec=header.spec,
+            center_prob=maps[0],
+            radius=maps[1],
+            offset=np.moveaxis(maps[2:], 0, -1),
+            level=header.level,
+            scan_id=header.scan_id,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_float(token: str, path: Path, lineno: int, column: str) -> float:
@@ -160,9 +178,16 @@ def _parse_float(token: str, path: Path, lineno: int, column: str) -> float:
     return value
 
 
+def _read_lines(path: Path) -> List[str]:
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_csv_rows(path: Path, header: str) -> List[Tuple[int, List[str]]]:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != header:
         found = lines[0].strip() if lines else "<empty file>"
         raise ValueError(f"{path}:1: expected header {header!r}, found {found!r}")
@@ -198,11 +223,14 @@ def read_annotations(path: Path) -> Dict[str, List[NoduleAnnotation]]:
         if diameter <= 0.0:
             raise ValueError(f"{path}:{lineno}: diameter must be > 0, got {diameter}")
         items = by_scan.setdefault(scan_id, [])
-        items.append(
-            NoduleAnnotation(
-                id=f"{scan_id}:{len(items)}", center=(x, y, z), radius=diameter / 2.0
+        try:  # a subnormal diameter halves to a zero radius
+            items.append(
+                NoduleAnnotation(
+                    id=f"{scan_id}:{len(items)}", center=(x, y, z), radius=diameter / 2.0
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return by_scan
 
 
@@ -245,8 +273,7 @@ def read_candidates(path: Path) -> Dict[str, List[Candidate]]:
 
 def read_scan_list(path: Path) -> List[str]:
     """Reads a scan list: one seriesuid per line, blank lines ignored."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [line.strip() for line in lines if line.strip()]
+    return [line.strip() for line in _read_lines(Path(path)) if line.strip()]
 
 
 def write_candidates(path: Path, rows: Sequence[Tuple[str, Candidate]]) -> None:

@@ -36,12 +36,15 @@ from .geometry import Point3
 
 def _is_count(value) -> bool:
     """True for a finite real number >= 1 with no fractional part."""
-    return (
-        isinstance(value, numbers.Real)
-        and math.isfinite(value)
-        and value >= 1
-        and int(value) == value
-    )
+    try:
+        return (
+            isinstance(value, numbers.Real)
+            and math.isfinite(value)
+            and value >= 1
+            and int(value) == value
+        )
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)

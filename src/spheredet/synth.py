@@ -10,6 +10,7 @@ cells keep radius 0 and are therefore dropped at decode time), and optional
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -71,10 +72,9 @@ class ScanRecord:
 def _home_cell(center: Tuple[float, float, float], grid: GridSpec) -> Tuple[int, int, int]:
     """Index of the cell whose center is nearest to a world coordinate."""
     d, h, w = grid.dims
-    bounds = (w, h, d)
     return tuple(
-        int(np.clip(np.floor(c / grid.stride), 0, bounds[axis] - 1))
-        for axis, c in enumerate(center)
+        min(max(math.floor(c / grid.stride), 0), bound - 1)
+        for c, bound in zip(center, (w, h, d))
     )
 
 

@@ -1,8 +1,18 @@
-"""Test-session plumbing: the acceptance-criteria summary block."""
+"""Test-session plumbing: the hypothesis profile and the acceptance-criteria
+summary block."""
 
 from __future__ import annotations
 
 import re
+
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, with no time limit per
+# example and no replay of failures saved by earlier runs.
+settings.register_profile(
+    "spheredet", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("spheredet")
 
 _ACCEPTANCE_PATTERN = re.compile(r"test_acceptance\.py::test_(c\d+)_(\w+)")
 

@@ -66,10 +66,55 @@ def test_grid_rewrite_of_read_grid_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.grid", tmp_path / "b.grid"
     write_grid(a, sample_grid())
     loaded = read_grid(a)
-    # offset is a view of the one float64 payload array, not a copy
+    # offset is a view of the one float32 payload array, not a copy
     assert np.shares_memory(loaded.offset, loaded.center_prob.base)
     write_grid(b, loaded)
     assert b.read_bytes() == a.read_bytes()
+
+
+def test_read_grid_returns_writable_float32_views(tmp_path):
+    path = tmp_path / "f32.grid"
+    write_grid(path, sample_grid())
+    loaded = read_grid(path)
+    for arr in (loaded.center_prob, loaded.radius, loaded.offset):
+        assert arr.dtype == np.float32 and arr.flags.writeable
+    assert loaded.center_prob.base is loaded.offset.base
+    loaded.offset[0, 0, 0, 2] = 0.25
+    assert loaded.offset.base[4, 0, 0, 0] == 0.25
+
+
+def test_write_grid_bytes_equal_per_block_layout(tmp_path):
+    dims = (3, 4, 5)
+    rng = np.random.default_rng(3)
+    f32_max = float(np.finfo(np.float32).max)
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    # -0.0, values halfway between two float32 values (ties to even), and
+    # float32 subnormals, including halfway ones
+    subnormals = [tiny, tiny / 2, 3 * tiny / 2, float(np.finfo(np.float32).tiny) * 0.75]
+    prob = rng.random(dims)
+    prob.flat[:7] = [-0.0, 1.0 - 2.0**-25, 0.5 + 2.0**-25, 0.5 + 3 * 2.0**-25] + subnormals[1:]
+    radius = rng.normal(0.0, 1e3, dims)
+    radius.flat[:9] = [-0.0, 1.0 + 2.0**-24, -1.0 - 3 * 2.0**-24, 1.0 / 3.0] + subnormals + [-tiny]
+    radius.flat[-2:] = [f32_max, -f32_max]
+    # a (D, H, W, 3) view that is not C-contiguous
+    offset = np.moveaxis(rng.normal(0.0, 1.0, (3,) + dims), 0, -1)
+    offset[0, 0, 0] = (-f32_max, f32_max, -0.0)
+    assert not offset.flags.c_contiguous
+    grid = PredictionGrid(
+        spec=GridSpec(dims=dims, stride=2),
+        center_prob=prob,
+        radius=radius,
+        offset=offset,
+        level=2,
+        scan_id="pins",
+    )
+    path = tmp_path / "pins.grid"
+    write_grid(path, grid)
+    # the payload as five separately cast and joined blocks
+    blocks = [prob, radius] + [offset[..., c] for c in range(3)]
+    payload = b"".join(np.ascontiguousarray(b, dtype="<f4").tobytes() for b in blocks)
+    header = b'{"dims":[3,4,5],"dtype":"f32le","level":2,"scan_id":"pins","stride":2}'
+    assert path.read_bytes() == b"SCPMGRID1\n" + header + b"\n" + payload
 
 
 @pytest.mark.parametrize("change", ["short", "long"])
