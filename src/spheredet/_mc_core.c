@@ -1,10 +1,13 @@
 /* Compiled sampling kernel for the Monte-Carlo intersection-volume estimate.
  *
- * Draws uniforms straight from a numpy BitGenerator through its capsule,
- * three consecutive doubles per sample (x, y, z), which is the order
- * Generator.random((n, 3)) consumes them in, and evaluates the same float
- * expressions as the NumPy fallback in spheredet._mc_python, so the two
- * backends return bit-identical hit counts.
+ * Draws straight from a numpy BitGenerator through its capsule, one raw
+ * 64-bit next_uint64 output per sample: the high 32 bits give the axial
+ * position x and the low 32 bits the squared radial distance t = y^2 + z^2,
+ * uniform on [0, rho^2) for a point uniform in the disk of radius rho.  For
+ * PCG64, the only generator mc_intersection_volume passes, next_uint64 is
+ * the stream BitGenerator.random_raw returns, and the NumPy fallback in
+ * spheredet._mc_python evaluates the same float expressions on it, so the
+ * two backends return bit-identical hit counts.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -39,13 +42,12 @@ static PyObject *count_hits(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_DECREF(ret);
 
     const double ra2 = r_a * r_a, rb2 = r_b * r_b;
-    const double span = x_hi - x_lo, two_rho = 2.0 * rho;
+    const double span = x_hi - x_lo, rho2 = rho * rho, scale = 0x1p-32;
     Py_BEGIN_ALLOW_THREADS
     for (i = 0; i < samples; i++) {
-        double x = x_lo + rng->next_double(rng->state) * span;
-        double y = rng->next_double(rng->state) * two_rho - rho;
-        double z = rng->next_double(rng->state) * two_rho - rho;
-        double t = y * y + z * z;
+        uint64_t r = rng->next_uint64(rng->state);
+        double x = x_lo + (double)(r >> 32) * scale * span;
+        double t = (double)(r & 0xffffffffu) * scale * rho2;
         hits += (x * x + t <= ra2) & ((x - d) * (x - d) + t <= rb2);
     }
     Py_END_ALLOW_THREADS
@@ -63,8 +65,11 @@ static PyMethodDef methods[] = {
     {"count_hits", (PyCFunction)(void (*)(void))count_hits, METH_VARARGS | METH_KEYWORDS,
      "count_hits(bit_generator, samples, r_a, r_b, d, x_lo, x_hi, rho)\n\n"
      "Counts samples landing inside both spheres.  Points are drawn uniformly\n"
-     "from the box [x_lo, x_hi] x [-rho, rho]^2 in the frame with sphere a at\n"
-     "the origin and sphere b at (d, 0, 0)."},
+     "from the cylinder [x_lo, x_hi] x disk(rho) around the x axis, in the frame\n"
+     "with sphere a at the origin and sphere b at (d, 0, 0).  Each sample takes\n"
+     "one next_uint64 draw: its high 32 bits give x and its low 32 bits the\n"
+     "squared radial distance.  Counts match spheredet._mc_python bit for bit\n"
+     "when bit_generator is a PCG64, whose random_raw is the next_uint64 stream."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -72,4 +77,13 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_mc_core", "Compiled Monte-Carlo sampling kernel.", -1, methods,
 };
 
-PyMODINIT_FUNC PyInit__mc_core(void) { return PyModule_Create(&module); }
+/* SAMPLER names the stream-to-sample mapping.  montecarlo uses this module
+ * only while it equals spheredet._mc_python.SAMPLER, so a stale build is never
+ * paired with another sampler's volume formula. */
+PyMODINIT_FUNC PyInit__mc_core(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddIntConstant(m, "SAMPLER", 2) < 0)
+        Py_CLEAR(m);
+    return m;
+}

@@ -1,17 +1,24 @@
 """Pure-numpy fallback for the Monte-Carlo sampling kernel.
 
-Consumes the BitGenerator stream through ``Generator.random``, which fills an
-(m, 3) buffer row-major with consecutive ``next_double`` draws, the same
-order the compiled kernel uses.  Every step evaluates the kernel's float
-expressions in the kernel's order, in buffers allocated once per call, so hit
-counts from the two backends are bit-identical.
+Consumes the BitGenerator stream through ``random_raw``, one 64-bit output
+per sample: the high 32 bits give the axial position and the low 32 bits
+the squared radial distance, as in the compiled kernel.  For PCG64,
+``random_raw`` returns the kernel's ``next_uint64`` stream.  Every step
+evaluates the kernel's float expressions in the kernel's order, in buffers
+allocated once per call, so hit counts from the two backends are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# The stream-to-sample mapping; the compiled kernel is used only when its
+# SAMPLER constant equals this one.
+SAMPLER = 2
+
 _CHUNK = 1 << 20
+_SCALE = 2.0**-32
 
 
 def count_hits(
@@ -25,34 +32,31 @@ def count_hits(
     rho: float,
 ) -> int:
     """Counts samples landing inside both spheres (see the compiled twin)."""
-    gen = np.random.Generator(bit_generator)
     ra2 = r_a * r_a
     rb2 = r_b * r_b
     span = x_hi - x_lo
-    two_rho = 2.0 * rho
+    rho2 = rho * rho
     n = max(0, min(int(samples), _CHUNK))
-    u_buf = np.empty((n, 3))
-    x_buf, y_buf, t_buf = np.empty(n), np.empty(n), np.empty(n)
+    high_buf = np.empty(n, dtype=np.uint64)
+    x_buf, t_buf, s_buf = np.empty(n), np.empty(n), np.empty(n)
     in_a_buf, in_b_buf = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     hits = 0
     remaining = int(samples)
     while remaining > 0:
         m = min(remaining, _CHUNK)
-        u, x, y, t = u_buf[:m], x_buf[:m], y_buf[:m], t_buf[:m]
+        high, x, t, s = high_buf[:m], x_buf[:m], t_buf[:m], s_buf[:m]
         in_a, in_b = in_a_buf[:m], in_b_buf[:m]
-        gen.random(out=u)
-        np.multiply(u[:, 0], span, out=x)
-        x += x_lo  # x = x_lo + u0 * span
-        np.multiply(u[:, 1], two_rho, out=y)
-        y -= rho  # y = u1 * two_rho - rho
-        np.multiply(u[:, 2], two_rho, out=t)
-        t -= rho  # z, held in t
-        t *= t
-        y *= y
-        t += y  # t = y * y + z * z
-        np.multiply(x, x, out=y)
-        y += t
-        np.less_equal(y, ra2, out=in_a)  # x * x + t <= ra2
+        raw = bit_generator.random_raw(m)
+        np.right_shift(raw, 32, out=high)
+        np.multiply(high, _SCALE, out=x)
+        x *= span
+        x += x_lo  # x = x_lo + (r >> 32) * 2^-32 * span
+        np.bitwise_and(raw, 0xFFFFFFFF, out=raw)
+        np.multiply(raw, _SCALE, out=t)
+        t *= rho2  # t = (r & 0xffffffff) * 2^-32 * rho2
+        np.multiply(x, x, out=s)
+        s += t
+        np.less_equal(s, ra2, out=in_a)  # x * x + t <= ra2
         x -= d
         x *= x
         x += t

@@ -120,7 +120,10 @@ def _parse_grid_header(handle: BinaryIO, path: Path) -> GridHeader:
         spec = GridSpec(dims=tuple(dims), stride=header["stride"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return GridHeader(spec, level, str(header.get("scan_id") or path.stem))
+    scan_id = str(header.get("scan_id") or path.stem)
+    if "," in scan_id or scan_id.splitlines() != [scan_id]:  # would break the CSVs
+        raise ValueError(f"{path}: scan id {scan_id!r} holds a comma or line break")
+    return GridHeader(spec, level, scan_id)
 
 
 def read_grid_header(path: Path) -> GridHeader:

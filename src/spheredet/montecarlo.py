@@ -1,59 +1,78 @@
 """Sampling-based sphere intersection volume.
 
 This is the independent cross-check for the closed-form lens volume: an
-unbiased uniform-sampling estimate over the minimal axis-aligned box (in the
-center-axis frame) that encloses the intersection region.  Because the box
-hugs the lens, the hit fraction stays bounded below (~pi/8) in every regime,
-so the relative error is ~1/sqrt(samples) with a small constant even for
-sliver overlaps.
+unbiased uniform-sampling estimate over the minimal cylinder around the
+center axis that encloses the intersection region.  The lens is
+rotationally symmetric about that axis, so a sample needs only its axial
+position x and its squared radial distance t, which is uniform on
+[0, rho^2) for a point uniform in a disk of radius rho; both come from one
+64-bit draw, resolved to 2^-32 of the cylinder's length and of rho^2.
+Because the cylinder hugs the lens, the hit fraction is at least 1/2 in
+every regime, so the relative error is ~1/sqrt(samples) with a small
+constant even for sliver overlaps.
 
 Backends: the compiled kernel ``spheredet._mc_core`` when it has been built
 (``python setup.py build_ext --inplace`` compiles the hand-written
-``_mc_core.c``; it needs only a C compiler and the NumPy headers), otherwise
-the pure-numpy fallback ``spheredet._mc_python``.  Both consume the identical
-PCG64 stream and return bit-identical counts; set ``SPHEREDET_FORCE_PYTHON=1``
-to force the fallback.  ``backend_name()`` reports which one is in use.
+``_mc_core.c``; it needs only a C compiler and the NumPy headers) and its
+``SAMPLER`` tag matches the fallback's, otherwise the pure-numpy fallback
+``spheredet._mc_python``.  Both consume the identical PCG64 stream and
+return bit-identical counts; set ``SPHEREDET_FORCE_PYTHON=1`` to force the
+fallback.  ``backend_name()`` reports which one is in use.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from types import ModuleType
 from typing import Optional, Tuple
 
 import numpy as np
 
+from . import _mc_python
 from .geometry import Sphere, _distance
 
-if os.environ.get("SPHEREDET_FORCE_PYTHON") == "1":
-    from . import _mc_python as _backend
 
-    COMPILED_BACKEND = False
+def _select_backend(compiled: Optional[ModuleType]) -> ModuleType:
+    """The compiled module if it samples as the fallback does, else the fallback.
+
+    A kernel built from an older ``_mc_core.c`` maps the stream to points
+    differently (or lacks the tag), and pairing it with this module's volume
+    formula would scale every estimate wrongly.
+    """
+    if compiled is not None and getattr(compiled, "SAMPLER", None) == _mc_python.SAMPLER:
+        return compiled
+    return _mc_python
+
+
+if os.environ.get("SPHEREDET_FORCE_PYTHON") == "1":
+    _backend = _mc_python
 else:
     try:
-        from . import _mc_core as _backend  # type: ignore[no-redef]
-
-        COMPILED_BACKEND = True
+        from . import _mc_core
     except ImportError:  # pragma: no cover - exercised via env override
-        from . import _mc_python as _backend  # type: ignore[no-redef]
-
-        COMPILED_BACKEND = False
+        _backend = _mc_python
+    else:
+        _backend = _select_backend(_mc_core)
 
 
 def backend_name() -> str:
     """Name of the sampling backend selected at import ("compiled"/"python")."""
-    return "compiled" if COMPILED_BACKEND else "python"
+    return "python" if _backend is _mc_python else "compiled"
 
 
 def _lens_box(r_a: float, r_b: float, d: float) -> Optional[Tuple[float, float, float]]:
-    """Minimal enclosing box of the intersection region, or None if empty.
+    """Minimal enclosing cylinder of the intersection region, or None if empty.
 
     Coordinates are in the frame with sphere a centered at the origin and
-    sphere b at (d, 0, 0); the box is [x_lo, x_hi] x [-rho, rho]^2.  The
-    transverse extent of the lens at axial position x is
+    sphere b at (d, 0, 0); the cylinder is [x_lo, x_hi] x disk(rho) around
+    the x axis, and the square box [x_lo, x_hi] x [-rho, rho]^2 encloses it.
+    The squared transverse extent of the lens at axial position x is
     min(r_a^2 - x^2, r_b^2 - (d-x)^2), a concave function whose maximum sits
     at sphere a's equator (x=0) when that equator lies inside b, at sphere
     b's equator (x=d) when it lies inside a, and at the chord plane otherwise.
+    Being concave, it lies above the tent rising from 0 at x_lo and x_hi to
+    rho^2 at that maximum, so the lens fills at least half the cylinder.
     """
     if d >= r_a + r_b:
         return None
@@ -82,7 +101,7 @@ def mc_intersection_volume(a: Sphere, b: Sphere, samples: int, seed: int) -> flo
 
     Returns:
         Estimated intersection volume in cubic world voxels.  Exactly 0.0
-        for disjoint pairs (the enclosing box is empty).
+        for disjoint pairs (the enclosing cylinder is empty).
 
     Raises:
         ValueError: if ``samples`` < 1.
@@ -100,5 +119,5 @@ def mc_intersection_volume(a: Sphere, b: Sphere, samples: int, seed: int) -> flo
     hits = _backend.count_hits(
         np.random.PCG64(seed), int(samples), a.radius, b.radius, d, x_lo, x_hi, rho
     )
-    box_volume = (x_hi - x_lo) * (2.0 * rho) * (2.0 * rho)
-    return box_volume * (hits / samples)
+    cylinder_volume = (x_hi - x_lo) * math.pi * (rho * rho)
+    return cylinder_volume * (hits / samples)

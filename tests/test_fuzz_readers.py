@@ -101,6 +101,9 @@ def _grid_file(header: bytes) -> bytes:
 @example(data=_grid_file(b'{"dims":[1,1,1],"stride":1%s,"level":0,"dtype":"f32le"}' % (b"0" * 400)))
 @example(data=_grid_file(b'{"dims":[1,1,1%s],"stride":4,"level":0,"dtype":"f32le"}' % (b"0" * 400)))
 @example(data=_grid_file(b"[" * 100_000))
+@example(data=_grid_file(b'{"dims":[1,1,1],"stride":4,"level":0,"dtype":"f32le","scan_id":"a,b"}'))
+@example(data=_grid_file(b'{"dims":[1,1,1],"stride":4,"level":0,"dtype":"f32le","scan_id":"a\\nb"}'))
+@example(data=_grid_file(b'{"dims":[1,1,1],"stride":4,"level":0,"dtype":"f32le","scan_id":"a\\rb"}'))
 def test_fuzz_grid_readers_raise_only_prefixed_value_errors(fuzz_dir, data):
     path = fuzz_dir / "fuzz.grid"
     path.write_bytes(data)
@@ -114,6 +117,28 @@ def test_fuzz_grid_readers_raise_only_prefixed_value_errors(fuzz_dir, data):
         assert (header.spec, header.level, header.scan_id) == (grid.spec, grid.level, grid.scan_id)
     else:
         _assert_cli_fails_with(["detect", "--grids", path, "--out", fuzz_dir / "c.csv"], grid_error)
+
+
+@pytest.mark.parametrize(
+    "name,scan_id",
+    [
+        ("plain.grid", "a,b"),
+        ("plain.grid", "a\nb"),
+        ("plain.grid", "a\rb"),
+        ("plain.grid", "a\u2028b"),  # str.splitlines, which the CSV readers use, breaks here
+        ("plain.grid", "ab\n"),
+        ("a,b.grid", None),  # the file-stem fallback
+    ],
+)
+def test_grid_readers_reject_a_scan_id_the_csvs_cannot_hold(fuzz_dir, name, scan_id):
+    header = {"dims": [1, 1, 1], "stride": 4, "level": 0, "dtype": "f32le"}
+    if scan_id is not None:
+        header["scan_id"] = scan_id
+    path = fuzz_dir / name
+    path.write_bytes(_grid_file(json.dumps(header).encode()))
+    message = _rejection(read_grid_header, path)
+    assert message is not None and message.startswith(f"{path}: scan id ")
+    assert _rejection(read_grid, path) == message
 
 
 # --------------------------------------------------------------------------

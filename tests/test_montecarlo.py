@@ -1,7 +1,9 @@
 """Sampling-based volume estimate vs the closed form, and backend parity."""
 
 import datetime
+import importlib
 import math
+import sys
 import threading
 import types
 
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spheredet
 from spheredet import Sphere, intersection_volume, mc_intersection_volume
-from spheredet import _mc_python
+from spheredet import _mc_python, montecarlo
 from spheredet.montecarlo import _lens_box
 
 PAIRS = [
@@ -98,6 +101,75 @@ def test_backends_count_identically(n):
         assert hits_compiled == hits_python
 
 
+def _reference_count(seed, n, r_a, r_b, d, x_lo, x_hi, rho):
+    """Plain-Python sampler: one raw PCG64 output per sample, high 32 bits
+    to the axial position, low 32 bits to the squared radial distance."""
+    ra2, rb2, span, rho2 = r_a * r_a, r_b * r_b, x_hi - x_lo, rho * rho
+    hits = 0
+    for r in np.random.PCG64(seed).random_raw(n).tolist():
+        x = x_lo + (r >> 32) * 2.0**-32 * span
+        t = (r & 0xFFFFFFFF) * 2.0**-32 * rho2
+        hits += x * x + t <= ra2 and (x - d) * (x - d) + t <= rb2
+    return hits
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_backends_count_as_the_reference_loop(backend, n):
+    if backend == "compiled":
+        kernel = pytest.importorskip("spheredet._mc_core")
+    else:
+        kernel = _mc_python
+    for r_a, r_b, d in PAIRS:
+        box = _lens_box(r_a, r_b, d)
+        assert box is not None
+        expected = _reference_count(77, n, r_a, r_b, d, *box)
+        assert kernel.count_hits(np.random.PCG64(77), n, r_a, r_b, d, *box) == expected
+
+
+def test_estimate_is_cylinder_volume_times_hit_fraction():
+    a, b = _pair(1.0, 3.0, 2.5)  # already in the canonical (smaller radius first) order
+    x_lo, x_hi, rho = _lens_box(1.0, 3.0, 2.5)
+    hits = _reference_count(5, 1000, 1.0, 3.0, 2.5, x_lo, x_hi, rho)
+    expected = (x_hi - x_lo) * math.pi * (rho * rho) * (hits / 1000)
+    assert mc_intersection_volume(a, b, samples=1000, seed=5) == expected
+
+
+@pytest.fixture
+def reload_montecarlo(monkeypatch):
+    """Re-runs montecarlo's import-time backend choice with a stand-in
+    ``_mc_core``; the real choice is restored afterwards."""
+
+    def reload_with(compiled):
+        with monkeypatch.context() as patch:
+            patch.delenv("SPHEREDET_FORCE_PYTHON", raising=False)
+            patch.setitem(sys.modules, "spheredet._mc_core", compiled)
+            patch.setattr(spheredet, "_mc_core", compiled, raising=False)
+            importlib.reload(montecarlo)
+        return montecarlo.backend_name()
+
+    yield reload_with
+    importlib.reload(montecarlo)
+
+
+def test_a_kernel_without_the_sampler_tag_is_not_used(reload_montecarlo):
+    # A stale build of the three-draw box kernel has count_hits but no tag.
+    stale = types.ModuleType("spheredet._mc_core")
+    stale.count_hits = lambda *args: 0
+    assert reload_montecarlo(stale) == "python"
+    assert montecarlo._backend is _mc_python
+    stale.SAMPLER = _mc_python.SAMPLER - 1
+    assert reload_montecarlo(stale) == "python"
+    stale.SAMPLER = _mc_python.SAMPLER
+    assert reload_montecarlo(stale) == "compiled"
+    assert montecarlo._backend is stale
+
+
+def test_built_kernel_carries_the_fallbacks_sampler_tag():
+    compiled = pytest.importorskip("spheredet._mc_core")
+    assert compiled.SAMPLER == _mc_python.SAMPLER
+
+
 def test_compiled_kernel_rejects_a_foreign_capsule():
     compiled = pytest.importorskip("spheredet._mc_core")
     for capsule in (datetime.datetime_CAPI, None):
@@ -158,9 +230,23 @@ def test_lens_box_contains_the_intersection(r_a, r_b, frac, seed):
     assert np.all(np.abs(hits[:, 1:]) <= rho + eps)
 
 
+@given(
+    r_a=st.floats(0.2, 10.0),
+    r_b=st.floats(0.2, 10.0),
+    frac=st.floats(0.0, 0.999),
+)
+def test_lens_fills_at_least_half_its_cylinder(r_a, r_b, frac):
+    d = frac * (r_a + r_b)
+    x_lo, x_hi, rho = _lens_box(r_a, r_b, d)
+    a, b = _pair(r_a, r_b, d)
+    cylinder = (x_hi - x_lo) * math.pi * rho * rho
+    assert intersection_volume(a, b) >= 0.5 * cylinder * (1.0 - 1e-9)
+
+
 def test_sliver_overlap_keeps_relative_accuracy():
-    # The box hugs the lens, so even a ~1e-4 relative-volume overlap stays
-    # within a few percent at one million samples.
+    # The cylinder hugs the lens (the hit fraction is at least 1/2), so even
+    # a ~1e-4 relative-volume overlap stays within a few percent at one
+    # million samples.
     a, b = _pair(1.0, 1.0, 1.99)
     exact = intersection_volume(a, b)
     assert exact < 1e-3 * a.volume

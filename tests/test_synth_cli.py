@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from spheredet import (
+    Candidate,
     DecodeStats,
     GridSpec,
     NmsParams,
+    NoduleAnnotation,
+    Sphere,
     SyntheticSpec,
     decode_cell,
     detect_candidates,
@@ -630,3 +633,41 @@ def test_cli_froc_rejects_scan_missing_from_list(tmp_path, capsys):
     )
     assert rc == 2
     _assert_one_line_error(capsys, f"error: {annotations}: scan {scan_ids[0]!r} is not in ")
+
+
+def test_cli_froc_overflowing_coordinate_fails_cleanly(tmp_path, capsys):
+    annotations = tmp_path / "annotations.csv"
+    candidates = tmp_path / "candidates.csv"
+    write_annotations(annotations, [("s", NoduleAnnotation("s:0", (1.0, 2.0, 3.0), 4.0))])
+    write_candidates(candidates, [("s", Candidate(Sphere((1e200, 2.0, 3.0), 4.0), 0.5))])
+    out = tmp_path / "froc.json"
+    rc = main(
+        [
+            "froc",
+            "--annotations", str(annotations),
+            "--candidates", str(candidates),
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    _assert_one_line_error(capsys, "error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scan_id", ["a,b", "a\nb", "a\rb"])
+def test_cli_detect_rejects_scan_id_unsafe_for_csv(tmp_path, capsys, scan_id):
+    grid = PredictionGrid(
+        spec=GridSpec(dims=(2, 2, 2), stride=4),
+        center_prob=np.full((2, 2, 2), 0.5),
+        radius=np.ones((2, 2, 2)),
+        offset=np.zeros((2, 2, 2, 3)),
+        level=0,
+        scan_id=scan_id,
+    )
+    path = tmp_path / "unsafe.grid"
+    write_grid(path, grid)
+    out = tmp_path / "candidates.csv"
+    rc = main(["detect", "--grids", str(path), "--out", str(out)])
+    assert rc == 2
+    _assert_one_line_error(capsys, f"error: {path}: scan id ")
+    assert not out.exists()
