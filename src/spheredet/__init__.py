@@ -76,76 +76,3 @@ from .montecarlo import backend_name, mc_intersection_volume
 from .synth import ScanRecord, SyntheticSpec, generate_dataset, generate_scan
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANNOTATION_HEADER",
-    "CANDIDATE_HEADER",
-    "Candidate",
-    "DecodeStats",
-    "DescentResult",
-    "FROC_HEADER",
-    "FocalParams",
-    "FrocCurve",
-    "GRID_MAGIC",
-    "GradientSample",
-    "GridSpec",
-    "HarnessConfig",
-    "HitAssignment",
-    "HitLabel",
-    "Label",
-    "LabelAssignment",
-    "LossBreakdown",
-    "NmsParams",
-    "NoduleAnnotation",
-    "OPERATING_POINTS",
-    "OverlapGeometry",
-    "PredictionGrid",
-    "Regime",
-    "ScanRecord",
-    "ScanResult",
-    "Sphere",
-    "SphereGradient",
-    "SphereLossKind",
-    "SyntheticSpec",
-    "angle_score",
-    "assign_labels",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "backend_name",
-    "center_distance",
-    "decode_cell",
-    "descend",
-    "detect_candidates",
-    "distance_map",
-    "distance_radius_ratio",
-    "froc",
-    "froc_json_payload",
-    "generate_dataset",
-    "generate_scan",
-    "gradient_curve",
-    "intersection_volume",
-    "load_config",
-    "match_hits",
-    "mc_intersection_volume",
-    "merge_levels",
-    "nms_siou",
-    "offset_loss",
-    "ohem_refine",
-    "overlap_geometry",
-    "radius_loss",
-    "read_annotations",
-    "read_candidates",
-    "read_grid",
-    "refocal_loss",
-    "regression_targets",
-    "siou",
-    "sphere_loss",
-    "sphere_loss_gradient",
-    "top_n_candidates",
-    "total_loss",
-    "union_volume",
-    "write_annotations",
-    "write_candidates",
-    "write_froc_csv",
-    "write_grid",
-]

@@ -40,7 +40,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--config", type=Path, default=None, help="JSON config file")
     group.add_argument("--k", type=int, default=None, help="positive cells per nodule")
     group.add_argument("--n", type=int, default=None, help="negatives kept per positive")
-    group.add_argument("--lambda-s", type=float, default=None, help="overlap-loss weight")
     group.add_argument("--top-n", type=int, default=None, help="candidates kept per grid")
     group.add_argument("--tau-siou", type=float, default=None, help="overlap suppression threshold")
     group.add_argument("--tau-dr", type=float, default=None, help="separation suppression threshold")
@@ -51,7 +50,6 @@ def _config_from_args(args: argparse.Namespace) -> HarnessConfig:
     overrides: Dict[str, Any] = {
         "k": args.k,
         "n": args.n,
-        "lambda_s": args.lambda_s,
         "top_n": args.top_n,
         "seed": args.seed,
     }
@@ -180,10 +178,15 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     positives = int(np.sum(assignment.labels == Label.POSITIVE))
     ignored_before = int(np.sum(assignment.labels == Label.IGNORED))
     if args.loss_map is not None:
-        loss_map = np.load(args.loss_map)
+        with open(args.loss_map, "rb") as handle:
+            try:
+                loss_map = np.lib.format.read_array(handle)
+            except ValueError as exc:  # not a .npy file (an .npz archive, empty, cut short)
+                raise ValueError(f"{args.loss_map}: not a .npy array ({exc})") from None
         if loss_map.shape != config.grid.dims:
             raise ValueError(
-                f"loss map shape {loss_map.shape} does not match grid {config.grid.dims}"
+                f"{args.loss_map}: loss map shape {loss_map.shape} does not match "
+                f"grid {config.grid.dims}"
             )
     else:
         loss_map = np.zeros(config.grid.dims, dtype=np.float64)
@@ -348,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        print(f"error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except (ValueError, RuntimeError, OSError, OverflowError) as exc:

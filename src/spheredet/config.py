@@ -14,7 +14,9 @@ from .matching import GridSpec
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Tunable knobs shared by the CLI commands.
+    """Tunable knobs shared by the CLI commands: ``k`` and ``n`` are read by
+    ``assign``, ``top_n`` and ``nms`` by ``detect``, ``seed`` by ``synth``,
+    and ``grid`` by ``synth`` and ``assign``.
 
     Precedence when assembling a config is: built-in defaults, then a JSON
     config file, then explicit command-line flags.
@@ -22,13 +24,7 @@ class HarnessConfig:
 
     k: int = 7
     n: int = 100
-    lambda_s: float = 2.0
     top_n: int = 100
-    t: float = 0.9
-    w: float = 4.0
-    beta: float = 1.0 / 9.0
-    alpha: float = 0.375
-    gamma: float = 2.0
     nms: NmsParams = field(default_factory=NmsParams)
     grid: GridSpec = field(default_factory=lambda: GridSpec(dims=(24, 24, 24), stride=4))
     seed: int = 0
@@ -38,37 +34,20 @@ class HarnessConfig:
         return {
             "k": self.k,
             "n": self.n,
-            "lambda_s": self.lambda_s,
             "top_n": self.top_n,
-            "t": self.t,
-            "w": self.w,
-            "beta": self.beta,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
             "nms": {"tau_siou": self.nms.tau_siou, "tau_dr": self.nms.tau_dr},
             "grid": {"dims": list(self.grid.dims), "stride": self.grid.stride},
             "seed": self.seed,
         }
 
 
-_SCALAR_KEYS = {
-    "k": int,
-    "n": int,
-    "lambda_s": float,
-    "top_n": int,
-    "t": float,
-    "w": float,
-    "beta": float,
-    "alpha": float,
-    "gamma": float,
-    "seed": int,
-}
+_INTEGER_KEYS = ("k", "n", "top_n", "seed")
 
 
-def _number(kind: type, value: Any, origin: str, name: str) -> Any:
-    """``kind(value)``, or a ValueError naming the origin and the key."""
+def _number(value: Any, origin: str, name: str) -> float:
+    """``float(value)``, or a ValueError naming the origin and the key."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{origin}: {name} must be a number, got {value!r}") from None
 
@@ -77,7 +56,7 @@ def _integer(value: Any, origin: str, name: str) -> int:
     """``value`` as an int when it has no fractional part, else a ValueError."""
     if isinstance(value, int):
         return int(value)
-    number = _number(float, value, origin, name)
+    number = _number(value, origin, name)
     if not number.is_integer():
         raise ValueError(f"{origin}: {name} must be an integer, got {value!r}")
     return int(number)
@@ -86,11 +65,8 @@ def _integer(value: Any, origin: str, name: str) -> int:
 def _build(base: HarnessConfig, overrides: Mapping[str, Any], origin: str) -> HarnessConfig:
     changes: Dict[str, Any] = {}
     for key, value in overrides.items():
-        if key in _SCALAR_KEYS:
-            if _SCALAR_KEYS[key] is int:
-                changes[key] = _integer(value, origin, key)
-            else:
-                changes[key] = _number(float, value, origin, key)
+        if key in _INTEGER_KEYS:
+            changes[key] = _integer(value, origin, key)
         elif key == "nms":
             if not isinstance(value, Mapping):
                 raise ValueError(f"{origin}: 'nms' must be an object")
@@ -98,7 +74,7 @@ def _build(base: HarnessConfig, overrides: Mapping[str, Any], origin: str) -> Ha
             for sub, subval in value.items():
                 if sub not in nms_kwargs:
                     raise ValueError(f"{origin}: unknown nms key {sub!r}")
-                nms_kwargs[sub] = _number(float, subval, origin, f"nms {sub}")
+                nms_kwargs[sub] = _number(subval, origin, f"nms {sub}")
             try:
                 changes["nms"] = NmsParams(**nms_kwargs)
             except ValueError as exc:
@@ -133,7 +109,10 @@ def load_config(path: Optional[Path] = None, **cli_overrides: Any) -> HarnessCon
     """
     config = HarnessConfig()
     if path is not None:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, malformed, too deep
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config root must be a JSON object")
         config = _build(config, raw, str(path))

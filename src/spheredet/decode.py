@@ -18,9 +18,9 @@ the rest; every pair that passes is still decided by the scalar ``siou`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import math
 from numbers import Real
@@ -28,7 +28,7 @@ from numbers import Real
 import numpy as np
 
 from .geometry import Sphere, distance_radius_ratio, siou
-from .matching import GridSpec
+from .matching import GridSpec, _cell_center
 
 
 @dataclass
@@ -129,12 +129,7 @@ def decode_cell(grid: PredictionGrid, cell: Tuple[int, int, int]) -> Candidate:
     decoded_radius = float(grid.radius[iz, iy, ix]) * stride
     if decoded_radius <= 0.0:
         raise ValueError(f"nonpositive decoded radius at cell {cell}")
-    v = grid.offset[iz, iy, ix]
-    center = (
-        (ix + 0.5 + float(v[0])) * stride,
-        (iy + 0.5 + float(v[1])) * stride,
-        (iz + 0.5 + float(v[2])) * stride,
-    )
+    center = _cell_center(cell, grid.offset[iz, iy, ix], stride)
     return Candidate(
         sphere=Sphere(center, decoded_radius),
         score=float(grid.center_prob[iz, iy, ix]),

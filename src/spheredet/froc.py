@@ -15,11 +15,11 @@ most permissive feasible threshold).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .decode import Candidate
+from .decode import Candidate, _sort_key
+from .geometry import _distance
 from .matching import NoduleAnnotation
 
 OPERATING_POINTS: Tuple[float, ...] = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -63,12 +63,7 @@ class FrocCurve:
 
 
 def _hits(candidate: Candidate, annotation: NoduleAnnotation) -> bool:
-    c = candidate.sphere.center
-    g = annotation.center
-    dist = math.sqrt(
-        (c[0] - g[0]) ** 2 + (c[1] - g[1]) ** 2 + (c[2] - g[2]) ** 2
-    )
-    return dist <= annotation.radius
+    return _distance(candidate.sphere.center, annotation.center) <= annotation.radius
 
 
 def match_hits(result: ScanResult) -> HitAssignment:
@@ -78,9 +73,7 @@ def match_hits(result: ScanResult) -> HitAssignment:
     cell index, then level), so the first hitter of an annotation is its
     highest-scoring one.
     """
-    ordered = sorted(
-        result.candidates, key=lambda c: (-c.score, c.cell_index, c.level)
-    )
+    ordered = sorted(result.candidates, key=_sort_key)
     trigger: List[Optional[float]] = [None] * len(result.annotations)
     labels: List[HitLabel] = []
     for candidate in ordered:

@@ -99,12 +99,22 @@ def _classify(r_a: float, r_b: float, d: float) -> Regime:
     return Regime.INTERSECTING
 
 
-def _lens_volume(r_a: float, r_b: float, d: float) -> float:
-    """Two-cap lens volume for the intersecting regime (d > 0 guaranteed)."""
+def _aperture_cos(r_a: float, r_b: float, d: float) -> float:
+    """Clamped cosine of the center-to-center aperture (``cos_phi_ab``)."""
+    return _clamp((r_a * r_a + r_b * r_b - d * d) / (2.0 * r_a * r_b))
+
+
+def _caps(r_a: float, r_b: float, d: float) -> Tuple[float, float, float, float]:
+    """(cos_a, cos_b, h2, h1): clamped cap half-aperture cosines at each
+    center and the cap heights on sphere a and sphere b (needs d > 0)."""
     cos_a = _clamp((r_a * r_a + d * d - r_b * r_b) / (2.0 * r_a * d))
     cos_b = _clamp((r_b * r_b + d * d - r_a * r_a) / (2.0 * r_b * d))
-    h2 = r_a * (1.0 - cos_a)
-    h1 = r_b * (1.0 - cos_b)
+    return cos_a, cos_b, r_a * (1.0 - cos_a), r_b * (1.0 - cos_b)
+
+
+def _lens_volume(r_a: float, r_b: float, d: float) -> float:
+    """Two-cap lens volume for the intersecting regime (d > 0 guaranteed)."""
+    _, _, h2, h1 = _caps(r_a, r_b, d)
     return (
         math.pi * r_a * h2 * h2
         - math.pi * h2**3 / 3.0
@@ -143,6 +153,16 @@ def _siou(r_a: float, r_b: float, d: float) -> float:
     return _clamp(inter / _union_volume(r_a, r_b, d), 0.0, 1.0)
 
 
+def _rdr(r_a: float, r_b: float, d: float) -> float:
+    return d / (d + r_a + r_b)
+
+
+def _angle_score(r_a: float, r_b: float, d: float) -> float:
+    if d > r_a + r_b:
+        return 0.0
+    return math.acos(_aperture_cos(r_a, r_b, d)) / math.pi
+
+
 def center_distance(a: Sphere, b: Sphere) -> float:
     """Euclidean distance between the two sphere centers."""
     return _distance(a.center, b.center)
@@ -165,22 +185,14 @@ def overlap_geometry(a: Sphere, b: Sphere) -> OverlapGeometry:
     r_a, r_b = a.radius, b.radius
     d = _distance(a.center, b.center)
     regime = _classify(r_a, r_b, d)
-    cos_ab = _clamp((r_a * r_a + r_b * r_b - d * d) / (2.0 * r_a * r_b))
-    if d > 0.0:
-        cos_a = _clamp((r_a * r_a + d * d - r_b * r_b) / (2.0 * r_a * d))
-        cos_b = _clamp((r_b * r_b + d * d - r_a * r_a) / (2.0 * r_b * d))
-    else:
-        cos_a = cos_b = 1.0
-    if regime is Regime.INTERSECTING:
-        h2 = r_a * (1.0 - cos_a)
-        h1 = r_b * (1.0 - cos_b)
-    else:
+    cos_a, cos_b, h2, h1 = _caps(r_a, r_b, d) if d > 0.0 else (1.0, 1.0, 0.0, 0.0)
+    if regime is not Regime.INTERSECTING:
         h2 = h1 = 0.0
     return OverlapGeometry(
         d_ab=d,
         cos_phi_a=cos_a,
         cos_phi_b=cos_b,
-        cos_phi_ab=cos_ab,
+        cos_phi_ab=_aperture_cos(r_a, r_b, d),
         h1=h1,
         h2=h2,
         regime=regime,
@@ -213,8 +225,7 @@ def siou(a: Sphere, b: Sphere) -> float:
 
 def distance_radius_ratio(a: Sphere, b: Sphere) -> float:
     """Normalized center distance d / (d + r_a + r_b), in [0, 1)."""
-    d = center_distance(a, b)
-    return d / (d + a.radius + b.radius)
+    return _rdr(a.radius, b.radius, center_distance(a, b))
 
 
 def angle_score(a: Sphere, b: Sphere) -> float:
@@ -226,9 +237,4 @@ def angle_score(a: Sphere, b: Sphere) -> float:
     sphere losses never consume that value because their own disjoint branch
     already includes tangency.
     """
-    d = center_distance(a, b)
-    r_a, r_b = a.radius, b.radius
-    if d > r_a + r_b:
-        return 0.0
-    g = _clamp((r_a * r_a + r_b * r_b - d * d) / (2.0 * r_a * r_b))
-    return math.acos(g) / math.pi
+    return _angle_score(a.radius, b.radius, center_distance(a, b))

@@ -15,7 +15,7 @@ predicted sphere approaches a fixed target along the z axis:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 

@@ -28,11 +28,16 @@ from .geometry import (
     _FOUR_THIRDS_PI,
     Regime,
     Sphere,
+    _angle_score,
+    _aperture_cos,
+    _caps,
     _classify,
     _distance,
+    _intersection_volume,
+    _rdr,
     _siou,
 )
-from .matching import Label, LabelAssignment
+from .matching import Label, LabelAssignment, _cell_center
 
 PROB_EPS = 1e-7
 DEFAULT_BETA = 1.0 / 9.0
@@ -91,19 +96,6 @@ class LossBreakdown:
     total: float
 
 
-def _rdr(r_a: float, r_b: float, d: float) -> float:
-    return d / (d + r_a + r_b)
-
-
-def _eta(r_a: float, r_b: float, d: float) -> float:
-    """Normalized aperture angle; 0 beyond the radius sum per its defining rule."""
-    if d > r_a + r_b:
-        return 0.0
-    g = (r_a * r_a + r_b * r_b - d * d) / (2.0 * r_a * r_b)
-    g = -1.0 if g < -1.0 else 1.0 if g > 1.0 else g
-    return math.acos(g) / math.pi
-
-
 def _box_iou(pred: Sphere, gt: Sphere) -> float:
     inter = 1.0
     for i in range(3):
@@ -130,7 +122,7 @@ def sphere_loss(kind: SphereLossKind, pred: Sphere, gt: Sphere) -> float:
     if kind is SphereLossKind.SIOU_PP:
         if d >= r_a + r_b:
             return _rdr(r_a, r_b, d)
-        return 1.0 + _rdr(r_a, r_b, d) - _siou(r_a, r_b, d) + _eta(r_a, r_b, d)
+        return 1.0 + _rdr(r_a, r_b, d) - _siou(r_a, r_b, d) + _angle_score(r_a, r_b, d)
     raise ValueError(f"unknown sphere loss kind: {kind!r}")
 
 
@@ -139,20 +131,15 @@ def _siou_partials(r_a: float, r_b: float, d: float) -> Tuple[float, float]:
     regime = _classify(r_a, r_b, d)
     if regime is Regime.DISJOINT:
         return 0.0, 0.0
+    inter = _intersection_volume(r_a, r_b, d)
     if regime is Regime.CONTAINED:
-        inter = _FOUR_THIRDS_PI * min(r_a, r_b) ** 3
         d_inter_dd = 0.0
         d_inter_dra = 4.0 * math.pi * r_a * r_a if r_a <= r_b else 0.0
     else:
-        # Two-cap lens: xc is the chord-plane position along the center axis
-        # measured from the predicted center; h2/h1 are the cap heights on
-        # the predicted/ground-truth sphere.
-        xc = (r_a * r_a + d * d - r_b * r_b) / (2.0 * d)
-        h2 = r_a - xc
-        h1 = r_b - (d - xc)
-        inter = math.pi * (
-            r_a * h2 * h2 - h2**3 / 3.0 + r_b * h1 * h1 - h1**3 / 3.0
-        )
+        # Two-cap lens with cap heights h2 = r_a - xc and h1 = r_b - (d - xc)
+        # on the predicted/ground-truth sphere, where xc is the chord-plane
+        # position along the center axis measured from the predicted center.
+        _, _, h2, h1 = _caps(r_a, r_b, d)
         dxc_dd = (d * d - r_a * r_a + r_b * r_b) / (2.0 * d * d)
         dxc_dra = r_a / d
         d_inter_dh2 = math.pi * h2 * (2.0 * r_a - h2)
@@ -178,7 +165,7 @@ def _rdr_partials(r_a: float, r_b: float, d: float) -> Tuple[float, float]:
 
 def _eta_partials(r_a: float, r_b: float, d: float) -> Tuple[float, float]:
     """(deta/dd, deta/dr_a); zero where the clamped cosine saturates."""
-    g = (r_a * r_a + r_b * r_b - d * d) / (2.0 * r_a * r_b)
+    g = _aperture_cos(r_a, r_b, d)
     if g <= -1.0 or g >= 1.0:
         return 0.0, 0.0
     deta_dg = -1.0 / (math.pi * math.sqrt(1.0 - g * g))
@@ -308,11 +295,7 @@ def offset_loss(offset: Sequence[float], offset_star: Sequence[float]) -> float:
     """Euclidean norm of the offset residual (grid units)."""
     if len(offset) != 3 or len(offset_star) != 3:
         raise ValueError("offsets must have 3 components")
-    return math.sqrt(
-        (offset[0] - offset_star[0]) ** 2
-        + (offset[1] - offset_star[1]) ** 2
-        + (offset[2] - offset_star[2]) ** 2
-    )
+    return _distance(offset, offset_star)
 
 
 def total_loss(
@@ -350,7 +333,7 @@ def total_loss(
     radius_sum = 0.0
     offset_sum = 0.0
     siou_pp_sum = 0.0
-    for iz, iy, ix in np.argwhere(labels == Label.POSITIVE):
+    for iz, iy, ix in np.argwhere(labels == Label.POSITIVE).tolist():
         matched = int(assignment.matched_nodule[iz, iy, ix])
         if matched < 0:
             raise ValueError(
@@ -368,12 +351,7 @@ def total_loss(
             raise ValueError(
                 f"nonpositive predicted radius at positive cell ({ix}, {iy}, {iz})"
             )
-        v = offsets[iz, iy, ix]
-        pred_center = (
-            (ix + 0.5 + float(v[0])) * stride,
-            (iy + 0.5 + float(v[1])) * stride,
-            (iz + 0.5 + float(v[2])) * stride,
-        )
+        pred_center = _cell_center((ix, iy, iz), offsets[iz, iy, ix], stride)
         siou_pp_sum += sphere_loss(
             SphereLossKind.SIOU_PP, Sphere(pred_center, pred_radius), gt
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -130,6 +130,18 @@ class LabelAssignment:
         return int(np.count_nonzero(self.labels == Label.POSITIVE))
 
 
+def _cell_center(cell, offset, stride):
+    """World center ``(i + 0.5 + v) * R`` per axis of cell (ix, iy, iz) with
+    offset (vx, vy, vz) in grid units; the cell indices may be arrays."""
+    return tuple((i + 0.5 + float(v)) * stride for i, v in zip(cell, offset))
+
+
+def _cell_offset(center, cell, stride):
+    """Inverse of ``_cell_center``: the offset ``c / R - (i + 0.5)`` per axis
+    that decodes cell (ix, iy, iz) to ``center``; arrays work elementwise."""
+    return tuple(c / stride - (i + 0.5) for c, i in zip(center, cell))
+
+
 def distance_map(grid: GridSpec, centroid: Point3) -> np.ndarray:
     """Per-cell Euclidean distance from the cell center to a world point.
 
@@ -138,10 +150,9 @@ def distance_map(grid: GridSpec, centroid: Point3) -> np.ndarray:
     bit for bit so that independent implementations agree on ties.
     """
     d, h, w = grid.dims
-    r = float(grid.stride)
-    dx = (np.arange(w, dtype=np.float64) + 0.5) * r - centroid[0]
-    dy = (np.arange(h, dtype=np.float64) + 0.5) * r - centroid[1]
-    dz = (np.arange(d, dtype=np.float64) + 0.5) * r - centroid[2]
+    axes = tuple(np.arange(n, dtype=np.float64) for n in (w, h, d))
+    cx, cy, cz = _cell_center(axes, (0.0, 0.0, 0.0), float(grid.stride))
+    dx, dy, dz = cx - centroid[0], cy - centroid[1], cz - centroid[2]
     sq = (dx * dx)[None, None, :] + (dy * dy)[None, :, None]
     sq = sq + (dz * dz)[:, None, None]
     return np.sqrt(sq)
@@ -223,17 +234,17 @@ def regression_targets(
     r = float(grid.stride)
     radius_target = np.zeros_like(assignment.radius_target)
     offset_target = np.zeros_like(assignment.offset_target)
-    for iz, iy, ix in np.argwhere(assignment.labels == Label.POSITIVE):
-        index = int(assignment.matched_nodule[iz, iy, ix])
-        if index < 0 or index >= len(nodules):
-            raise ValueError(
-                f"positive cell ({ix}, {iy}, {iz}) has no matched nodule"
-            )
-        nodule = nodules[index]
-        radius_target[iz, iy, ix] = nodule.radius / r
-        offset_target[iz, iy, ix, 0] = nodule.center[0] / r - (ix + 0.5)
-        offset_target[iz, iy, ix, 1] = nodule.center[1] / r - (iy + 0.5)
-        offset_target[iz, iy, ix, 2] = nodule.center[2] / r - (iz + 0.5)
+    cells = np.argwhere(assignment.labels == Label.POSITIVE)  # rows (iz, iy, ix)
+    at = tuple(cells.T)
+    index = assignment.matched_nodule[at]
+    bad = np.flatnonzero((index < 0) | (index >= len(nodules)))
+    if bad.size:
+        iz, iy, ix = cells[bad[0]]
+        raise ValueError(f"positive cell ({ix}, {iy}, {iz}) has no matched nodule")
+    matched = [nodules[i] for i in index]
+    centers = np.array([m.center for m in matched], dtype=np.float64).reshape(-1, 3)
+    radius_target[at] = np.array([m.radius for m in matched], dtype=np.float64) / r
+    offset_target[at] = np.stack(_cell_offset(centers.T, at[::-1], r), axis=-1)
     return replace(
         assignment, radius_target=radius_target, offset_target=offset_target
     )

@@ -66,9 +66,8 @@ def _lens_box(r_a: float, r_b: float, d: float) -> Optional[Tuple[float, float, 
 
     Coordinates are in the frame with sphere a centered at the origin and
     sphere b at (d, 0, 0); the cylinder is [x_lo, x_hi] x disk(rho) around
-    the x axis, and the square box [x_lo, x_hi] x [-rho, rho]^2 encloses it.
-    The squared transverse extent of the lens at axial position x is
-    min(r_a^2 - x^2, r_b^2 - (d-x)^2), a concave function whose maximum sits
+    the x axis.  The squared transverse extent of the lens at axial position
+    x is min(r_a^2 - x^2, r_b^2 - (d-x)^2), a concave function whose maximum sits
     at sphere a's equator (x=0) when that equator lies inside b, at sphere
     b's equator (x=d) when it lies inside a, and at the chord plane otherwise.
     Being concave, it lies above the tent rising from 0 at x_lo and x_hi to

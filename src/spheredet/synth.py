@@ -17,7 +17,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .decode import PredictionGrid
-from .matching import GridSpec, NoduleAnnotation
+from .geometry import _distance
+from .matching import GridSpec, NoduleAnnotation, _cell_offset
 
 _MAX_PLACEMENT_ATTEMPTS = 1000
 
@@ -98,10 +99,7 @@ def _place(
         center = tuple(rng.uniform(lows[axis], highs[axis]) for axis in range(3))
         ok = True
         for other_center, other_radius in keep_away:
-            dist = float(
-                np.sqrt(sum((a - b) ** 2 for a, b in zip(center, other_center)))
-            )
-            if dist < radius + other_radius + 2.0 * grid.stride:
+            if _distance(center, other_center) < radius + other_radius + 2.0 * grid.stride:
                 ok = False
                 break
         if ok:
@@ -151,8 +149,7 @@ def generate_scan(
         ix, iy, iz = _home_cell(center, grid)
         prob[iz, iy, ix] = probability
         radius_map[iz, iy, ix] = radius / stride
-        for axis, c in enumerate(center):
-            offset[iz, iy, ix, axis] = c / stride - ((ix, iy, iz)[axis] + 0.5)
+        offset[iz, iy, ix] = _cell_offset(center, (ix, iy, iz), stride)
 
     for (center, radius), probability in zip(placed, nodule_probs):
         render(center, radius, probability)

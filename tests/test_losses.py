@@ -18,9 +18,11 @@ from spheredet import (
     radius_loss,
     refocal_loss,
     regression_targets,
+    decode_cell,
     sphere_loss,
     total_loss,
 )
+from spheredet.decode import PredictionGrid
 
 UNIT_A = Sphere((0.0, 0.0, 0.0), 1.0)
 UNIT_B = Sphere((1.0, 0.0, 0.0), 1.0)
@@ -257,6 +259,29 @@ def test_total_loss_matches_hand_sum():
     assert breakdown.total == pytest.approx(
         expected_cls + expected_radius + expected_offset + 2.0 * expected_spp, rel=1e-12
     )
+
+
+def test_total_loss_sphere_term_sums_decoded_cells_bit_for_bit():
+    rng = np.random.default_rng(5)
+    grid = GridSpec(dims=(8, 8, 8), stride=4)
+    nodules = [
+        NoduleAnnotation(id="a", center=(9.3, 14.1, 11.7), radius=5.0),
+        NoduleAnnotation(id="b", center=(22.6, 20.2, 23.9), radius=3.5),
+    ]
+    assignment = regression_targets(grid, assign_labels(grid, nodules, k=7), nodules)
+    probs = rng.random(grid.dims)
+    radii = rng.uniform(0.5, 2.0, grid.dims)
+    offsets = rng.uniform(-0.5, 0.5, grid.dims + (3,))
+    spheres = [Sphere(n.center, n.radius) for n in nodules]
+    breakdown = total_loss(probs, radii, offsets, assignment, spheres, FocalParams(), 2.0)
+    prediction = PredictionGrid(spec=grid, center_prob=probs, radius=radii, offset=offsets)
+    expected = 0.0
+    for iz, iy, ix in np.argwhere(assignment.labels == Label.POSITIVE):
+        pred = decode_cell(prediction, (int(ix), int(iy), int(iz))).sphere
+        gt = spheres[assignment.matched_nodule[iz, iy, ix]]
+        expected += sphere_loss(SphereLossKind.SIOU_PP, pred, gt)
+    assert assignment.positive_count == 14
+    assert breakdown.siou_pp == expected
 
 
 def test_total_loss_scales_with_lambda():

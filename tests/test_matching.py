@@ -158,6 +158,21 @@ def test_targets_at_home_cell():
     )
 
 
+def test_targets_equal_the_scalar_formulas_bit_for_bit():
+    grid = GridSpec(dims=(5, 6, 7), stride=3)
+    nods = [nodule((11.2, 7.9, 4.4), 2.7, "a"), nodule((5.3, 13.1, 10.6), 1.9, "b")]
+    assignment = regression_targets(grid, assign_labels(grid, nods, k=5), nods)
+    positive = assignment.labels == Label.POSITIVE
+    assert np.count_nonzero(positive) == 10
+    for iz, iy, ix in np.argwhere(positive):
+        nod = nods[assignment.matched_nodule[iz, iy, ix]]
+        assert assignment.radius_target[iz, iy, ix] == nod.radius / 3.0
+        expected = [c / 3.0 - (i + 0.5) for c, i in zip(nod.center, (ix, iy, iz))]
+        assert assignment.offset_target[iz, iy, ix].tolist() == expected
+    assert not assignment.radius_target[~positive].any()
+    assert not assignment.offset_target[~positive].any()
+
+
 def test_targets_decode_back_to_annotation():
     grid = GridSpec(dims=(5, 6, 7), stride=3)
     nod = nodule((11.2, 7.9, 4.4), 2.7)

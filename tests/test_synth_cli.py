@@ -432,6 +432,80 @@ def test_config_accepts_integral_floats_for_integer_keys(tmp_path):
     assert type(loaded.k) is int and type(loaded.grid.stride) is int
 
 
+def _run_assign(tmp_path, annotations, *extra):
+    out = tmp_path / "assign.json"
+    rc = main(
+        ["assign", "--annotations", str(annotations), "--scan-id", "t1", "--out", str(out)]
+        + list(extra)
+    )
+    return rc, out
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b'{"k": \xff}', b'{"k": }', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "malformed", "too-deep"],
+)
+def test_cli_unreadable_config_file_is_named(tmp_path, capsys, body):
+    annotations, _ = _write_assign_fixture(tmp_path)
+    config = tmp_path / "bad.json"
+    config.write_bytes(body)
+    rc, out = _run_assign(tmp_path, annotations, "--config", str(config))
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, f"error: {config}: ")
+
+
+def test_cli_removed_loss_knobs_are_rejected(tmp_path, capsys):
+    # loss weights and focal parameters are not config keys or flags
+    annotations, config = _write_assign_fixture(tmp_path)
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"alpha": 0.375}))
+    rc, out = _run_assign(tmp_path, annotations, "--config", str(legacy))
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, f"error: {legacy}: unknown config key 'alpha'")
+    rc, out = _run_assign(tmp_path, annotations, "--config", str(config), "--lambda-s", "2.0")
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, "error: unrecognized arguments: --lambda-s 2.0")
+
+
+@pytest.mark.parametrize("name", ["loss.npz", "empty.npy"])
+def test_cli_assign_unreadable_loss_map_fails_cleanly(tmp_path, capsys, name):
+    annotations, config = _write_assign_fixture(tmp_path)
+    loss_map = tmp_path / name
+    if name.endswith(".npz"):
+        np.savez(loss_map, loss=np.zeros((6, 6, 6)))
+    else:
+        loss_map.write_bytes(b"")
+    rc, out = _run_assign(
+        tmp_path, annotations, "--config", str(config), "--loss-map", str(loss_map)
+    )
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, f"error: {loss_map}: not a .npy array (")
+
+
+def test_cli_assign_loss_map_shape_mismatch_names_file(tmp_path, capsys):
+    annotations, config = _write_assign_fixture(tmp_path)
+    loss_map = tmp_path / "loss.npy"
+    np.save(loss_map, np.zeros((6, 6, 5)))
+    rc, out = _run_assign(
+        tmp_path, annotations, "--config", str(config), "--loss-map", str(loss_map)
+    )
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, f"error: {loss_map}: loss map shape (6, 6, 5) ")
+
+
+def test_cli_assign_reads_npy_loss_map(tmp_path):
+    annotations, config = _write_assign_fixture(tmp_path)
+    loss_map = tmp_path / "loss.npy"
+    np.save(loss_map, np.random.default_rng(0).random((6, 6, 6)).astype(np.float32))
+    rc, out = _run_assign(
+        tmp_path, annotations, "--config", str(config), "--loss-map", str(loss_map),
+        "--k", "2", "--n", "3",
+    )
+    assert rc == 0
+    assert json.loads(out.read_text())["negatives_kept"] == 6
+
+
 def test_cli_detect_rejects_tau_dr_flag_out_of_range(tmp_path, capsys):
     rc = main(
         [
