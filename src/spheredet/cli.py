@@ -35,32 +35,37 @@ from .synth import SyntheticSpec, generate_dataset
 _KIND_NAMES = ", ".join(kind.value for kind in SphereLossKind)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+# Override flags by dest: (type, help).  The two tau flags set keys of "nms".
+_OVERRIDES = {
+    "k": (int, "positive cells per nodule"),
+    "n": (int, "negatives kept per positive"),
+    "top_n": (int, "candidates kept per grid"),
+    "tau_siou": (float, "overlap suppression threshold"),
+    "tau_dr": (float, "separation suppression threshold"),
+    "seed": (int, "master random seed"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so ``main`` reports them in one line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *dests: str) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", type=Path, default=None, help="JSON config file")
-    group.add_argument("--k", type=int, default=None, help="positive cells per nodule")
-    group.add_argument("--n", type=int, default=None, help="negatives kept per positive")
-    group.add_argument("--top-n", type=int, default=None, help="candidates kept per grid")
-    group.add_argument("--tau-siou", type=float, default=None, help="overlap suppression threshold")
-    group.add_argument("--tau-dr", type=float, default=None, help="separation suppression threshold")
-    group.add_argument("--seed", type=int, default=None, help="master random seed")
+    for dest in dests:
+        kind, text = _OVERRIDES[dest]
+        group.add_argument("--" + dest.replace("_", "-"), type=kind, default=None, help=text)
 
 
 def _config_from_args(args: argparse.Namespace) -> HarnessConfig:
-    overrides: Dict[str, Any] = {
-        "k": args.k,
-        "n": args.n,
-        "top_n": args.top_n,
-        "seed": args.seed,
-    }
-    nms: Dict[str, float] = {}
-    if args.tau_siou is not None:
-        nms["tau_siou"] = args.tau_siou
-    if args.tau_dr is not None:
-        nms["tau_dr"] = args.tau_dr
-    if nms:
-        overrides["nms"] = nms
-    return load_config(args.config, **overrides)
+    """The config file, then whichever override flags the command defined."""
+    flags = {dest: getattr(args, dest, None) for dest in _OVERRIDES}
+    nms = {dest: flags.pop(dest) for dest in ("tau_siou", "tau_dr") if flags[dest] is not None}
+    return load_config(args.config, nms=nms or None, **flags)
 
 
 def _write_json(path: Path, payload: Dict[str, Any]) -> None:
@@ -183,14 +188,14 @@ def _cmd_assign(args: argparse.Namespace) -> int:
                 loss_map = np.lib.format.read_array(handle)
             except ValueError as exc:  # not a .npy file (an .npz archive, empty, cut short)
                 raise ValueError(f"{args.loss_map}: not a .npy array ({exc})") from None
-        if loss_map.shape != config.grid.dims:
-            raise ValueError(
-                f"{args.loss_map}: loss map shape {loss_map.shape} does not match "
-                f"grid {config.grid.dims}"
-            )
     else:
         loss_map = np.zeros(config.grid.dims, dtype=np.float64)
-    refined = ohem_refine(assignment, loss_map, config.n)
+    try:
+        refined = ohem_refine(assignment, loss_map, config.n)
+    except ValueError as exc:  # the map's shape, dtype or NaN, unless n is at fault
+        if args.loss_map is None or config.n < 1:
+            raise
+        raise ValueError(f"{args.loss_map}: {exc}") from None
     ignored_after = int(np.sum(refined.labels == Label.IGNORED))
     matched = refined.matched_nodule.reshape(-1)
     payload = {
@@ -216,14 +221,21 @@ def _cmd_assign(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    by_scan: Dict[str, List[Path]] = {}
+    by_scan: Dict[str, Dict[int, Path]] = {}  # scan id -> level tag -> grid
     for path in args.grids:
-        by_scan.setdefault(read_grid_header(path).scan_id, []).append(path)
+        header = read_grid_header(path)
+        levels = by_scan.setdefault(header.scan_id, {})
+        if header.level in levels:  # would tie with it on every sort key
+            raise ValueError(
+                f"{path}: scan {header.scan_id!r} already has a level {header.level} grid "
+                f"({levels[header.level]})"
+            )
+        levels[header.level] = path
     rows = []
     per_scan_meta = {}
     for scan_id in sorted(by_scan):
         stats = DecodeStats()
-        grids = [read_grid(path) for path in by_scan[scan_id]]
+        grids = [read_grid(path) for path in by_scan[scan_id].values()]
         kept = detect_candidates(grids, top_n=config.top_n, params=config.nms, stats=stats)
         del grids  # free this scan's grids before the next scan's are read
         rows += [(scan_id, candidate) for candidate in kept]
@@ -277,7 +289,7 @@ def _cmd_froc(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spheredet",
         description="Sphere-parameterized detection harness.",
     )
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--clutter", type=int, default=0)
-    _add_config_flags(p)
+    _add_config_flags(p, "seed")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("assign", help="label grid cells for one scan")
@@ -324,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-id", required=True)
     p.add_argument("--loss-map", type=Path, default=None, help=".npy per-cell loss")
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "k", "n")
     p.set_defaults(handler=_cmd_assign)
 
     p = sub.add_parser("detect", help="decode grids into candidates")
     p.add_argument("--grids", type=Path, nargs="+", required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "top_n", "tau_siou", "tau_dr")
     p.set_defaults(handler=_cmd_detect)
 
     p = sub.add_parser("froc", help="score candidates against annotations")
@@ -351,11 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        print(f"error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
-        return 2
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,30 +31,22 @@ class HarnessConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON rendering, used for run-metadata echo."""
-        return {
-            "k": self.k,
-            "n": self.n,
-            "top_n": self.top_n,
-            "nms": {"tau_siou": self.nms.tau_siou, "tau_dr": self.nms.tau_dr},
-            "grid": {"dims": list(self.grid.dims), "stride": self.grid.stride},
-            "seed": self.seed,
-        }
-
-
-_INTEGER_KEYS = ("k", "n", "top_n", "seed")
+        return json.loads(json.dumps(dataclasses.asdict(self)))  # tuples become lists
 
 
 def _number(value: Any, origin: str, name: str) -> float:
     """``float(value)``, or a ValueError naming the origin and the key."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{origin}: {name} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):  # JSON true/false are not numbers
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{origin}: {name} must be a number, got {value!r}")
 
 
 def _integer(value: Any, origin: str, name: str) -> int:
     """``value`` as an int when it has no fractional part, else a ValueError."""
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     number = _number(value, origin, name)
     if not number.is_integer():
@@ -62,43 +54,43 @@ def _integer(value: Any, origin: str, name: str) -> int:
     return int(number)
 
 
-def _build(base: HarnessConfig, overrides: Mapping[str, Any], origin: str) -> HarnessConfig:
+def _dims(value: Any, origin: str, name: str) -> tuple:
+    """Three integers from a list, else a ValueError naming the origin and the key."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"{origin}: {name} must have 3 entries")
+    return tuple(_integer(v, origin, name) for v in value)
+
+
+# Every config key and its reader; a nested table reads an object of sub-keys.
+_KEYS: Dict[str, Any] = {
+    "k": _integer,
+    "n": _integer,
+    "top_n": _integer,
+    "nms": {"tau_siou": _number, "tau_dr": _number},
+    "grid": {"dims": _dims, "stride": _integer},
+    "seed": _integer,
+}
+
+
+def _build(
+    base: Any, overrides: Mapping[str, Any], origin: str, keys: Mapping = _KEYS, scope: str = ""
+) -> Any:
+    """``base`` with each override read by its entry in ``keys`` (``scope``: "nms " or "grid ")."""
     changes: Dict[str, Any] = {}
     for key, value in overrides.items():
-        if key in _INTEGER_KEYS:
-            changes[key] = _integer(value, origin, key)
-        elif key == "nms":
+        if key not in keys:
+            raise ValueError(f"{origin}: unknown {scope or 'config '}key {key!r}")
+        reader = keys[key]
+        if isinstance(reader, dict):
             if not isinstance(value, Mapping):
-                raise ValueError(f"{origin}: 'nms' must be an object")
-            nms_kwargs = {"tau_siou": base.nms.tau_siou, "tau_dr": base.nms.tau_dr}
-            for sub, subval in value.items():
-                if sub not in nms_kwargs:
-                    raise ValueError(f"{origin}: unknown nms key {sub!r}")
-                nms_kwargs[sub] = _number(subval, origin, f"nms {sub}")
-            try:
-                changes["nms"] = NmsParams(**nms_kwargs)
-            except ValueError as exc:
-                raise ValueError(f"{origin}: {exc}") from None
-        elif key == "grid":
-            if not isinstance(value, Mapping):
-                raise ValueError(f"{origin}: 'grid' must be an object")
-            dims, stride = base.grid.dims, base.grid.stride
-            for sub, subval in value.items():
-                if sub == "dims":
-                    if not isinstance(subval, (list, tuple)) or len(subval) != 3:
-                        raise ValueError(f"{origin}: grid dims must have 3 entries")
-                    dims = tuple(_integer(v, origin, "grid dims") for v in subval)
-                elif sub == "stride":
-                    stride = _integer(subval, origin, "grid stride")
-                else:
-                    raise ValueError(f"{origin}: unknown grid key {sub!r}")
-            try:
-                changes["grid"] = GridSpec(dims=dims, stride=stride)
-            except ValueError as exc:
-                raise ValueError(f"{origin}: {exc}") from None
+                raise ValueError(f"{origin}: {key!r} must be an object")
+            changes[key] = _build(getattr(base, key), value, origin, reader, f"{key} ")
         else:
-            raise ValueError(f"{origin}: unknown config key {key!r}")
-    return dataclasses.replace(base, **changes) if changes else base
+            changes[key] = reader(value, origin, f"{scope}{key}")
+    try:
+        return dataclasses.replace(base, **changes) if changes else base
+    except ValueError as exc:  # NmsParams and GridSpec range checks
+        raise ValueError(f"{origin}: {exc}") from None
 
 
 def load_config(path: Optional[Path] = None, **cli_overrides: Any) -> HarnessConfig:

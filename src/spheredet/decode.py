@@ -5,7 +5,8 @@ per axis and world radius (radius map value * R).  Cells whose decoded
 radius is nonpositive are dropped (counted, never clamped).  Candidate
 ordering everywhere is descending score, with ties broken by ascending
 linear index of the producing cell and then by level tag, which makes the
-pipeline output independent of input permutation.
+pipeline output independent of input order as long as each grid of a scan
+carries its own level tag.
 
 Sphere NMS skips pairs that cannot interact.  A pair can only be suppressed
 when ``siou > tau_siou >= 0``, which needs ``d < r_a + r_b``, or when

@@ -110,11 +110,11 @@ def _parse_grid_header(handle: BinaryIO, path: Path) -> GridHeader:
     if (
         not isinstance(dims, list)
         or len(dims) != 3
-        or not all(isinstance(v, int) and v >= 1 for v in dims)
+        or not all(type(v) is int and v >= 1 for v in dims)  # a JSON true is no count
     ):
         raise ValueError(f"{path}: bad dims {dims!r}")
     level = header["level"]
-    if not isinstance(level, int):
+    if type(level) is not int:
         raise ValueError(f"{path}: bad level {level!r}")
     try:
         spec = GridSpec(dims=tuple(dims), stride=header["stride"])

@@ -35,10 +35,11 @@ from .geometry import Point3
 
 
 def _is_count(value) -> bool:
-    """True for a finite real number >= 1 with no fractional part."""
+    """True for a finite real number >= 1 with no fractional part (not a bool)."""
     try:
         return (
             isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
             and math.isfinite(value)
             and value >= 1
             and int(value) == value

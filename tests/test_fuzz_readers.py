@@ -141,6 +141,20 @@ def test_grid_readers_reject_a_scan_id_the_csvs_cannot_hold(fuzz_dir, name, scan
     assert _rejection(read_grid, path) == message
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("stride", True), ("level", True), ("level", False), ("dims", [True, 1, 1])],
+)
+def test_grid_readers_reject_json_booleans_as_numbers(fuzz_dir, field, value):
+    header = {"dims": [1, 1, 1], "stride": 4, "level": 0, "dtype": "f32le", field: value}
+    path = fuzz_dir / "bool.grid"
+    path.write_bytes(_grid_file(json.dumps(header).encode()))
+    message = _rejection(read_grid_header, path)
+    assert message is not None
+    assert _rejection(read_grid, path) == message
+    _assert_cli_fails_with(["detect", "--grids", path, "--out", fuzz_dir / "c.csv"], message)
+
+
 # --------------------------------------------------------------------------
 # CSV files and scan lists
 

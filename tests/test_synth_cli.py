@@ -246,8 +246,9 @@ def test_cli_gradsim_descent_outputs(tmp_path):
 
 
 def test_cli_gradsim_rejects_unknown_kind(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["gradsim", "--out-dir", str(tmp_path), "--kinds", "bogus"])
+    rc = main(["gradsim", "--out-dir", str(tmp_path / "out"), "--kinds", "bogus"])
+    assert rc == 2 and not (tmp_path / "out").exists()
+    _assert_one_line_error(capsys, "error: argument --kinds: unknown loss kind 'bogus'; ")
 
 
 # --------------------------------------------------------------------------
@@ -745,3 +746,173 @@ def test_cli_detect_rejects_scan_id_unsafe_for_csv(tmp_path, capsys, scan_id):
     assert rc == 2
     _assert_one_line_error(capsys, f"error: {path}: scan id ")
     assert not out.exists()
+
+
+# --------------------------------------------------------------------------
+# CLI: one exit path for usage errors, per-command flags, project config
+
+
+def _write_froc_inputs(tmp_path):
+    annotations = tmp_path / "annotations.csv"
+    candidates = tmp_path / "candidates.csv"
+    write_annotations(annotations, [("s", NoduleAnnotation("s:0", (1.0, 2.0, 3.0), 4.0))])
+    write_candidates(candidates, [("s", Candidate(Sphere((1.0, 2.0, 3.0), 4.0), 0.5))])
+    return ["--annotations", str(annotations), "--candidates", str(candidates)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--out-dir", "{out}", "--scans", "two"],
+        ["assign", "--annotations", "a.csv", "--scan-id", "s", "--out", "{out}", "--k", "2.5"],
+        ["detect", "--grids", "a.grid", "--out", "{out}", "--top-n", "x"],
+        ["gradsim", "--out-dir", "{out}", "--kinds", "bogus"],
+        ["detect", "--grids", "a.grid"],
+        ["assign", "--annotations", "a.csv", "--out", "{out}"],
+        ["froc", "{froc_inputs}", "--out", "{out}", "--k", "2"],
+        ["froc", "{froc_inputs}", "--out", "{out}", "--seed", "1"],
+        ["synth", "--out-dir", "{out}", "--scans", "1", "--top-n", "5"],
+        ["gradsim", "--out-dir", "{out}", "--tau-dr", "0.3"],
+        ["assign", "--annotations", "a.csv", "--scan-id", "s", "--out", "{out}", "--seed", "1"],
+        ["detect", "--grids", "a.grid", "--out", "{out}", "--k", "2"],
+        ["--seed", "1", "synth", "--out-dir", "{out}", "--scans", "1"],
+        ["bogus"],
+        [],
+    ],
+    ids=[
+        "bad-int-synth", "bad-int-assign", "bad-int-detect", "unknown-kind", "missing-out",
+        "missing-scan-id", "froc-k", "froc-seed", "synth-top-n", "gradsim-tau-dr",
+        "assign-seed", "detect-k", "flag-before-command", "unknown-command", "no-command",
+    ],
+)
+def test_cli_usage_error_is_one_line(tmp_path, capsys, argv):
+    froc_inputs = _write_froc_inputs(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    expanded = []
+    for arg in argv:
+        if arg == "{froc_inputs}":
+            expanded += froc_inputs
+        else:
+            expanded.append(arg.format(out=tmp_path / "out"))
+    assert main(expanded) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_detect_and_froc_accept_a_full_project_config(tmp_path):
+    config = tmp_path / "project.json"
+    config.write_text(
+        json.dumps(
+            {
+                "grid": {"dims": [12, 12, 12], "stride": 4},
+                "seed": 7,
+                "nms": {"tau_siou": 0.1, "tau_dr": 0.4},
+                "k": 3,
+                "n": 20,
+                "top_n": 50,
+            }
+        )
+    )
+    data = tmp_path / "data"
+    argv = ["synth", "--out-dir", str(data), "--scans", "2", "--radius", "4:6"]
+    assert main(argv + ["--config", str(config)]) == 0
+    grids = sorted(str(p) for p in data.glob("*.grid"))
+    candidates = tmp_path / "candidates.csv"
+    argv = ["detect", "--grids", *grids, "--out", str(candidates), "--config", str(config)]
+    assert main(argv) == 0
+    out = tmp_path / "froc.json"
+    argv = ["froc", "--annotations", str(data / "annotations.csv"), "--candidates", str(candidates)]
+    assert main(argv + ["--out", str(out), "--config", str(config)]) == 0
+    echo = json.loads(out.read_text())["config"]
+    assert echo == json.loads((tmp_path / "candidates.csv.meta.json").read_text())["config"]
+    assert (echo["seed"], echo["top_n"], echo["nms"]["tau_dr"]) == (7, 50, 0.4)
+    assert json.loads(out.read_text())["average"] == 1.0
+
+
+def test_config_echo_keys_and_defaults_are_unchanged():
+    from spheredet import HarnessConfig
+
+    assert HarnessConfig().to_dict() == {
+        "k": 7,
+        "n": 100,
+        "top_n": 100,
+        "nms": {"tau_siou": 0.05, "tau_dr": 0.5},
+        "grid": {"dims": [24, 24, 24], "stride": 4},
+        "seed": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"k": True},
+        {"seed": False},
+        {"top_n": True},
+        {"nms": {"tau_siou": True}},
+        {"grid": {"stride": True}},
+        {"grid": {"dims": [True, 6, 6]}},
+    ],
+)
+def test_cli_json_boolean_config_value_fails_cleanly(tmp_path, capsys, raw):
+    annotations, _ = _write_assign_fixture(tmp_path)
+    config = tmp_path / "bool.json"
+    config.write_text(json.dumps(raw))
+    rc, out = _run_assign(tmp_path, annotations, "--config", str(config))
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, f"error: {config}: ")
+
+
+@pytest.mark.parametrize("kind", ["nan", "text"])
+def test_cli_assign_loss_map_value_errors_name_file(tmp_path, capsys, kind):
+    annotations, config = _write_assign_fixture(tmp_path)
+    loss_map = tmp_path / "loss.npy"
+    values = np.zeros((6, 6, 6))
+    values[5, 5, 5] = np.nan  # a negative cell, far from the nodule
+    np.save(loss_map, values if kind == "nan" else values.astype(str))
+    rc, out = _run_assign(
+        tmp_path, annotations, "--config", str(config), "--loss-map", str(loss_map)
+    )
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, f"error: {loss_map}: ")
+
+
+def test_cli_assign_bad_n_is_not_blamed_on_the_loss_map(tmp_path, capsys):
+    annotations, config = _write_assign_fixture(tmp_path)
+    loss_map = tmp_path / "loss.npy"
+    np.save(loss_map, np.zeros((6, 6, 6)))
+    rc, out = _run_assign(
+        tmp_path, annotations, "--config", str(config), "--loss-map", str(loss_map), "--n", "0"
+    )
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, "error: n must be >= 1, got 0")
+
+
+def _level_zero_grid(stride):
+    grid = PredictionGrid(
+        spec=GridSpec(dims=(2, 2, 2), stride=stride),
+        center_prob=np.zeros((2, 2, 2)),
+        radius=np.zeros((2, 2, 2)),
+        offset=np.zeros((2, 2, 2, 3)),
+        level=0,
+        scan_id="s1",
+    )
+    grid.center_prob[0, 0, 0] = 0.5
+    grid.radius[0, 0, 0] = 1.0
+    return grid
+
+
+@pytest.mark.parametrize("order", ["a-first", "b-first"])
+def test_cli_detect_rejects_two_grids_with_one_level_tag(tmp_path, capsys, order):
+    a, b = tmp_path / "a.grid", tmp_path / "b.grid"
+    write_grid(a, _level_zero_grid(4))
+    write_grid(b, _level_zero_grid(5))
+    first, second = (a, b) if order == "a-first" else (b, a)
+    out = tmp_path / "candidates.csv"
+    rc = main(["detect", "--grids", str(first), str(second), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(
+        capsys, f"error: {second}: scan 's1' already has a level 0 grid ({first})\n"
+    )
