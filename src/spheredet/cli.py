@@ -192,8 +192,8 @@ def _cmd_assign(args: argparse.Namespace) -> int:
         loss_map = np.zeros(config.grid.dims, dtype=np.float64)
     try:
         refined = ohem_refine(assignment, loss_map, config.n)
-    except ValueError as exc:  # the map's shape, dtype or NaN, unless n is at fault
-        if args.loss_map is None or config.n < 1:
+    except ValueError as exc:  # the map's shape, dtype or NaN
+        if args.loss_map is None:
             raise
         raise ValueError(f"{args.loss_map}: {exc}") from None
     ignored_after = int(np.sum(refined.labels == Label.IGNORED))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
@@ -44,13 +45,16 @@ def _number(value: Any, origin: str, name: str) -> float:
     raise ValueError(f"{origin}: {name} must be a number, got {value!r}")
 
 
-def _integer(value: Any, origin: str, name: str) -> int:
-    """``value`` as an int when it has no fractional part, else a ValueError."""
+def _integer(value: Any, origin: str, name: str, low: int = 1) -> int:
+    """``value`` as an int >= ``low`` when it has no fractional part, else a ValueError."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
-    number = _number(value, origin, name)
-    if not number.is_integer():
-        raise ValueError(f"{origin}: {name} must be an integer, got {value!r}")
+        number = int(value)
+    else:
+        number = _number(value, origin, name)
+        if not number.is_integer():
+            raise ValueError(f"{origin}: {name} must be an integer, got {value!r}")
+    if number < low:
+        raise ValueError(f"{origin}: {name} must be >= {low}, got {int(number)}")
     return int(number)
 
 
@@ -68,7 +72,7 @@ _KEYS: Dict[str, Any] = {
     "top_n": _integer,
     "nms": {"tau_siou": _number, "tau_dr": _number},
     "grid": {"dims": _dims, "stride": _integer},
-    "seed": _integer,
+    "seed": partial(_integer, low=0),
 }
 
 

@@ -1,10 +1,10 @@
 """Sphere overlap geometry in world voxel coordinates.
 
 Objects are represented as spheres (center + radius).  The overlap of two
-spheres is described by the center distance, the half-aperture angles of the
-two spherical caps bounding the intersection lens, and the cap heights; from
-those the lens volume, the union volume, and the sphere-IoU follow in closed
-form.  Three mutually exclusive regimes partition every configuration:
+spheres is described by the center distance and the heights of the two
+spherical caps bounding the intersection lens; from those the lens volume,
+the union volume, and the sphere-IoU follow in closed form.  Three mutually
+exclusive regimes partition every configuration:
 
 * ``disjoint``:     d >= r_a + r_b   (tangency counts as disjoint)
 * ``contained``:    d + min(r) <= max(r)  (one sphere inside the other;
@@ -55,7 +55,7 @@ class Sphere:
 
     @property
     def volume(self) -> float:
-        return _FOUR_THIRDS_PI * self.radius**3
+        return _sphere_volume(self.radius)
 
 
 @dataclass(frozen=True)
@@ -104,23 +104,24 @@ def _aperture_cos(r_a: float, r_b: float, d: float) -> float:
     return _clamp((r_a * r_a + r_b * r_b - d * d) / (2.0 * r_a * r_b))
 
 
-def _caps(r_a: float, r_b: float, d: float) -> Tuple[float, float, float, float]:
-    """(cos_a, cos_b, h2, h1): clamped cap half-aperture cosines at each
-    center and the cap heights on sphere a and sphere b (needs d > 0)."""
-    cos_a = _clamp((r_a * r_a + d * d - r_b * r_b) / (2.0 * r_a * d))
-    cos_b = _clamp((r_b * r_b + d * d - r_a * r_a) / (2.0 * r_b * d))
-    return cos_a, cos_b, r_a * (1.0 - cos_a), r_b * (1.0 - cos_b)
+def _sphere_volume(r: float) -> float:
+    return _FOUR_THIRDS_PI * (r * r * r)
+
+
+def _cap_heights(r_a: float, r_b: float, d: float) -> Tuple[float, float]:
+    """(h2, h1): the lens's cap heights on sphere a and on sphere b (needs d > 0).
+
+    r * (1 - cos) multiplied out into factors that vanish only where the
+    height does, so no digits cancel near tangency.
+    """
+    half_gap = (r_a + r_b - d) / (2.0 * d)
+    return (r_b - r_a + d) * half_gap, (r_a - r_b + d) * half_gap
 
 
 def _lens_volume(r_a: float, r_b: float, d: float) -> float:
     """Two-cap lens volume for the intersecting regime (d > 0 guaranteed)."""
-    _, _, h2, h1 = _caps(r_a, r_b, d)
-    return (
-        math.pi * r_a * h2 * h2
-        - math.pi * h2**3 / 3.0
-        + math.pi * r_b * h1 * h1
-        - math.pi * h1**3 / 3.0
-    )
+    h2, h1 = _cap_heights(r_a, r_b, d)
+    return math.pi * (h2 * h2 * (r_a - h2 / 3.0) + h1 * h1 * (r_b - h1 / 3.0))
 
 
 def _intersection_volume(r_a: float, r_b: float, d: float) -> float:
@@ -133,24 +134,22 @@ def _intersection_volume(r_a: float, r_b: float, d: float) -> float:
     if regime is Regime.DISJOINT:
         return 0.0
     if regime is Regime.CONTAINED:
-        return _FOUR_THIRDS_PI * min(r_a, r_b) ** 3
+        return _sphere_volume(min(r_a, r_b))
     if r_a <= r_b:
         return _lens_volume(r_a, r_b, d)
     return _lens_volume(r_b, r_a, d)
 
 
-def _union_volume(r_a: float, r_b: float, d: float) -> float:
-    r_small, r_large = (r_a, r_b) if r_a <= r_b else (r_b, r_a)
-    return _FOUR_THIRDS_PI * (r_small**3 + r_large**3) - _intersection_volume(
-        r_small, r_large, d
-    )
+def _union_volume(r_a: float, r_b: float, inter: float) -> float:
+    """Union volume of a pair whose intersection volume is ``inter``."""
+    return _sphere_volume(r_a) + _sphere_volume(r_b) - inter
 
 
 def _siou(r_a: float, r_b: float, d: float) -> float:
     inter = _intersection_volume(r_a, r_b, d)
     if inter == 0.0:
         return 0.0
-    return _clamp(inter / _union_volume(r_a, r_b, d), 0.0, 1.0)
+    return _clamp(inter / _union_volume(r_a, r_b, inter), 0.0, 1.0)
 
 
 def _rdr(r_a: float, r_b: float, d: float) -> float:
@@ -185,9 +184,9 @@ def overlap_geometry(a: Sphere, b: Sphere) -> OverlapGeometry:
     r_a, r_b = a.radius, b.radius
     d = _distance(a.center, b.center)
     regime = _classify(r_a, r_b, d)
-    cos_a, cos_b, h2, h1 = _caps(r_a, r_b, d) if d > 0.0 else (1.0, 1.0, 0.0, 0.0)
-    if regime is not Regime.INTERSECTING:
-        h2 = h1 = 0.0
+    cos_a = _clamp((r_a * r_a + d * d - r_b * r_b) / (2.0 * r_a * d)) if d > 0.0 else 1.0
+    cos_b = _clamp((r_b * r_b + d * d - r_a * r_a) / (2.0 * r_b * d)) if d > 0.0 else 1.0
+    h2, h1 = _cap_heights(r_a, r_b, d) if regime is Regime.INTERSECTING else (0.0, 0.0)
     return OverlapGeometry(
         d_ab=d,
         cos_phi_a=cos_a,
@@ -211,7 +210,7 @@ def intersection_volume(a: Sphere, b: Sphere) -> float:
 
 def union_volume(a: Sphere, b: Sphere) -> float:
     """Volume of the union of two spheres (sum of volumes minus overlap)."""
-    return _union_volume(a.radius, b.radius, center_distance(a, b))
+    return _union_volume(a.radius, b.radius, intersection_volume(a, b))
 
 
 def siou(a: Sphere, b: Sphere) -> float:

@@ -12,7 +12,11 @@ The sphere losses compare a predicted sphere against a ground-truth sphere:
 
 Gradients are closed-form partial derivatives with respect to the predicted
 center and radius; agreement with central finite differences is the
-normative contract and is enforced by the test suite.
+normative contract and is enforced by the test suite.  The lens volume V is
+differentiated with two exact area identities: moving the centers apart
+loses the chord disk, dV/dd = -pi h2 (2 r_a - h2), and growing the predicted
+sphere gains its surface inside the other, dV/dr_a = 2 pi r_a h2, with h2
+the cap height on the predicted sphere.
 """
 
 from __future__ import annotations
@@ -20,22 +24,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import (
-    _FOUR_THIRDS_PI,
     Regime,
     Sphere,
     _angle_score,
     _aperture_cos,
-    _caps,
+    _cap_heights,
     _classify,
     _distance,
     _intersection_volume,
     _rdr,
     _siou,
+    _sphere_volume,
 )
 from .matching import Label, LabelAssignment, _cell_center
 
@@ -96,66 +100,58 @@ class LossBreakdown:
     total: float
 
 
-def _box_iou(pred: Sphere, gt: Sphere) -> float:
-    inter = 1.0
+def _box_overlap(pred: Sphere, gt: Sphere) -> Optional[Tuple[float, float, list]]:
+    """(inter, union, axes) of the cubes circumscribing the spheres (side 2r),
+    or None when they are apart; ``axes`` holds per axis the overlap length
+    and its derivatives w.r.t. the predicted center and radius."""
+    axes = []
     for i in range(3):
-        hi = min(pred.center[i] + pred.radius, gt.center[i] + gt.radius)
-        lo = max(pred.center[i] - pred.radius, gt.center[i] - gt.radius)
+        a_hi = pred.center[i] + pred.radius
+        a_lo = pred.center[i] - pred.radius
+        b_hi = gt.center[i] + gt.radius
+        b_lo = gt.center[i] - gt.radius
+        hi = min(a_hi, b_hi)
+        lo = max(a_lo, b_lo)
         if hi <= lo:
-            return 0.0
-        inter *= hi - lo
-    v_pred = (2.0 * pred.radius) ** 3
-    v_gt = (2.0 * gt.radius) ** 3
-    return inter / (v_pred + v_gt - inter)
+            return None
+        hi_from_pred = 1.0 if a_hi < b_hi else 0.0
+        lo_from_pred = 1.0 if a_lo > b_lo else 0.0
+        axes.append((hi - lo, hi_from_pred - lo_from_pred, hi_from_pred + lo_from_pred))
+    inter = axes[0][0] * axes[1][0] * axes[2][0]
+    return inter, (2.0 * pred.radius) ** 3 + (2.0 * gt.radius) ** 3 - inter, axes
 
 
-def sphere_loss(kind: SphereLossKind, pred: Sphere, gt: Sphere) -> float:
-    """Evaluates one sphere-overlap loss for a predicted/ground-truth pair."""
-    if kind is SphereLossKind.BOX_IOU:
-        return 1.0 - _box_iou(pred, gt)
-    r_a, r_b = pred.radius, gt.radius
-    d = _distance(pred.center, gt.center)
-    if kind is SphereLossKind.SIOU:
-        return 1.0 - _siou(r_a, r_b, d)
-    if kind is SphereLossKind.SDIOU:
-        return 1.0 + _rdr(r_a, r_b, d) - _siou(r_a, r_b, d)
-    if kind is SphereLossKind.SIOU_PP:
-        if d >= r_a + r_b:
-            return _rdr(r_a, r_b, d)
-        return 1.0 + _rdr(r_a, r_b, d) - _siou(r_a, r_b, d) + _angle_score(r_a, r_b, d)
-    raise ValueError(f"unknown sphere loss kind: {kind!r}")
+def _box_iou_gradient(pred: Sphere, gt: Sphere) -> SphereGradient:
+    overlap = _box_overlap(pred, gt)
+    if overlap is None:  # separated cubes: the loss is locally constant 1
+        return SphereGradient(0.0, 0.0, 0.0, 0.0)
+    inter, union, axes = overlap
+    usq = union * union
+    d_inter_dr = sum(dr * inter / length for length, _, dr in axes)
+    d_union_dr = 24.0 * pred.radius * pred.radius - d_inter_dr
+    # L = 1 - inter/union
+    d_cx, d_cy, d_cz = (-(dc * inter / length * (union + inter)) / usq for length, dc, _ in axes)
+    return SphereGradient(d_cx, d_cy, d_cz, -(d_inter_dr * union - inter * d_union_dr) / usq)
 
 
 def _siou_partials(r_a: float, r_b: float, d: float) -> Tuple[float, float]:
-    """(dSIoU/dd, dSIoU/dr_a) in the pair's current regime."""
+    """(dSIoU/dd, dSIoU/dr_a) in the pair's current regime: with SIoU = I / (T - I)
+    and T = V_a + V_b, each is (dI T - I dT) / (T - I)^2."""
     regime = _classify(r_a, r_b, d)
     if regime is Regime.DISJOINT:
         return 0.0, 0.0
-    inter = _intersection_volume(r_a, r_b, d)
     if regime is Regime.CONTAINED:
+        # No chord disk; all of a's surface lies inside b, or none of it.
         d_inter_dd = 0.0
-        d_inter_dra = 4.0 * math.pi * r_a * r_a if r_a <= r_b else 0.0
+        h2 = 2.0 * r_a if r_a <= r_b else 0.0
     else:
-        # Two-cap lens with cap heights h2 = r_a - xc and h1 = r_b - (d - xc)
-        # on the predicted/ground-truth sphere, where xc is the chord-plane
-        # position along the center axis measured from the predicted center.
-        _, _, h2, h1 = _caps(r_a, r_b, d)
-        dxc_dd = (d * d - r_a * r_a + r_b * r_b) / (2.0 * d * d)
-        dxc_dra = r_a / d
-        d_inter_dh2 = math.pi * h2 * (2.0 * r_a - h2)
-        d_inter_dh1 = math.pi * h1 * (2.0 * r_b - h1)
-        d_inter_dd = d_inter_dh2 * (-dxc_dd) + d_inter_dh1 * (dxc_dd - 1.0)
-        d_inter_dra = (
-            math.pi * h2 * h2
-            + d_inter_dh2 * (1.0 - dxc_dra)
-            + d_inter_dh1 * dxc_dra
-        )
-    union = _FOUR_THIRDS_PI * (r_a**3 + r_b**3) - inter
-    d_union_dd = -d_inter_dd
-    d_union_dra = 4.0 * math.pi * r_a * r_a - d_inter_dra
-    dsiou_dd = (d_inter_dd * union - inter * d_union_dd) / (union * union)
-    dsiou_dra = (d_inter_dra * union - inter * d_union_dra) / (union * union)
-    return dsiou_dd, dsiou_dra
+        h2, _ = _cap_heights(r_a, r_b, d)
+        d_inter_dd = -math.pi * h2 * (2.0 * r_a - h2)
+    d_inter_dra = 2.0 * math.pi * r_a * h2
+    inter = _intersection_volume(r_a, r_b, d)
+    total = _sphere_volume(r_a) + _sphere_volume(r_b)
+    usq = (total - inter) * (total - inter)
+    return d_inter_dd * total / usq, (d_inter_dra * total - inter * 4.0 * math.pi * r_a * r_a) / usq
 
 
 def _rdr_partials(r_a: float, r_b: float, d: float) -> Tuple[float, float]:
@@ -174,35 +170,41 @@ def _eta_partials(r_a: float, r_b: float, d: float) -> Tuple[float, float]:
     return deta_dg * dg_dd, deta_dg * dg_dra
 
 
-def _box_iou_gradient(pred: Sphere, gt: Sphere) -> SphereGradient:
-    overlaps = [0.0, 0.0, 0.0]
-    d_o_dc = [0.0, 0.0, 0.0]
-    d_o_dr = [0.0, 0.0, 0.0]
-    for i in range(3):
-        a_hi = pred.center[i] + pred.radius
-        a_lo = pred.center[i] - pred.radius
-        b_hi = gt.center[i] + gt.radius
-        b_lo = gt.center[i] - gt.radius
-        hi = min(a_hi, b_hi)
-        lo = max(a_lo, b_lo)
-        if hi - lo <= 0.0:
-            # Separated cubes: the loss is locally constant 1.
-            return SphereGradient(0.0, 0.0, 0.0, 0.0)
-        overlaps[i] = hi - lo
-        hi_from_pred = 1.0 if a_hi < b_hi else 0.0
-        lo_from_pred = 1.0 if a_lo > b_lo else 0.0
-        d_o_dc[i] = hi_from_pred - lo_from_pred
-        d_o_dr[i] = hi_from_pred + lo_from_pred
-    inter = overlaps[0] * overlaps[1] * overlaps[2]
-    union = (2.0 * pred.radius) ** 3 + (2.0 * gt.radius) ** 3 - inter
-    d_inter_dc = [d_o_dc[i] * inter / overlaps[i] for i in range(3)]
-    d_inter_dr = sum(d_o_dr[i] * inter / overlaps[i] for i in range(3))
-    d_union_dr = 24.0 * pred.radius * pred.radius - d_inter_dr
-    usq = union * union
-    # L = 1 - inter/union
-    d_loss_dc = [-(d_inter_dc[i] * (union + inter)) / usq for i in range(3)]
-    d_loss_dr = -(d_inter_dr * union - inter * d_union_dr) / usq
-    return SphereGradient(d_loss_dc[0], d_loss_dc[1], d_loss_dc[2], d_loss_dr)
+# Each sphere-overlap kind is a constant plus signed terms; a term is a
+# (value, partials) pair of functions of (r_a, r_b, d).  siou_pp keeps only
+# its R_DR term on disjoint pairs (tangency included).
+_RDR = (_rdr, _rdr_partials)
+_SIOU = (_siou, _siou_partials)
+_ETA = (_angle_score, _eta_partials)
+_MAKEUP = {
+    SphereLossKind.SIOU: (1.0, ((-1.0, _SIOU),)),
+    SphereLossKind.SDIOU: (1.0, ((1.0, _RDR), (-1.0, _SIOU))),
+    SphereLossKind.SIOU_PP: (1.0, ((1.0, _RDR), (-1.0, _SIOU), (1.0, _ETA))),
+}
+_SIOU_PP_DISJOINT = (0.0, ((1.0, _RDR),))
+
+
+def _makeup(kind: SphereLossKind, r_a: float, r_b: float, d: float) -> Tuple[float, tuple]:
+    """(constant, signed terms) of a sphere-overlap kind for this pair."""
+    if kind is SphereLossKind.SIOU_PP and d >= r_a + r_b:
+        return _SIOU_PP_DISJOINT
+    makeup = _MAKEUP.get(kind)
+    if makeup is None:
+        raise ValueError(f"unknown sphere loss kind: {kind!r}")
+    return makeup
+
+
+def sphere_loss(kind: SphereLossKind, pred: Sphere, gt: Sphere) -> float:
+    """Evaluates one sphere-overlap loss for a predicted/ground-truth pair."""
+    if kind is SphereLossKind.BOX_IOU:
+        overlap = _box_overlap(pred, gt)
+        return 1.0 if overlap is None else 1.0 - overlap[0] / overlap[1]
+    r_a, r_b = pred.radius, gt.radius
+    d = _distance(pred.center, gt.center)
+    loss, terms = _makeup(kind, r_a, r_b, d)
+    for sign, (value, _) in terms:
+        loss += sign * value(r_a, r_b, d)
+    return loss
 
 
 def sphere_loss_gradient(kind: SphereLossKind, pred: Sphere, gt: Sphere) -> SphereGradient:
@@ -216,33 +218,16 @@ def sphere_loss_gradient(kind: SphereLossKind, pred: Sphere, gt: Sphere) -> Sphe
         return _box_iou_gradient(pred, gt)
     r_a, r_b = pred.radius, gt.radius
     d = _distance(pred.center, gt.center)
-    if kind is SphereLossKind.SIOU:
-        ds_dd, ds_dra = _siou_partials(r_a, r_b, d)
-        dl_dd, dl_dr = -ds_dd, -ds_dra
-    elif kind is SphereLossKind.SDIOU:
-        ds_dd, ds_dra = _siou_partials(r_a, r_b, d)
-        dr_dd, dr_dra = _rdr_partials(r_a, r_b, d)
-        dl_dd, dl_dr = dr_dd - ds_dd, dr_dra - ds_dra
-    elif kind is SphereLossKind.SIOU_PP:
-        dr_dd, dr_dra = _rdr_partials(r_a, r_b, d)
-        if d >= r_a + r_b:
-            dl_dd, dl_dr = dr_dd, dr_dra
-        else:
-            ds_dd, ds_dra = _siou_partials(r_a, r_b, d)
-            de_dd, de_dra = _eta_partials(r_a, r_b, d)
-            dl_dd = dr_dd - ds_dd + de_dd
-            dl_dr = dr_dra - ds_dra + de_dra
-    else:
-        raise ValueError(f"unknown sphere loss kind: {kind!r}")
+    dl_dd = dl_dr = -0.0  # -0.0 + x == x for every x, signed zeros included
+    for sign, (_, partials) in _makeup(kind, r_a, r_b, d)[1]:
+        dd, dr = partials(r_a, r_b, d)
+        dl_dd += sign * dd
+        dl_dr += sign * dr
     if d < _DEGENERATE_D:
         return SphereGradient(0.0, 0.0, 0.0, dl_dr)
     scale = dl_dd / d
-    return SphereGradient(
-        scale * (pred.center[0] - gt.center[0]),
-        scale * (pred.center[1] - gt.center[1]),
-        scale * (pred.center[2] - gt.center[2]),
-        dl_dr,
-    )
+    (px, py, pz), (gx, gy, gz) = pred.center, gt.center
+    return SphereGradient(scale * (px - gx), scale * (py - gy), scale * (pz - gz), dl_dr)
 
 
 def refocal_loss(

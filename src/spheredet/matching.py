@@ -261,12 +261,15 @@ def ohem_refine(
     ascending linear cell index.
 
     Raises:
-        ValueError: if n < 1, the loss map shape mismatches, or the loss is
-            not finite on some Negative cell.
+        ValueError: if n < 1, the loss map is not real or its shape
+            mismatches, or the loss is not finite on some Negative cell.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    loss = np.asarray(per_cell_cls_loss, dtype=np.float64)
+    loss = np.asarray(per_cell_cls_loss)
+    if loss.dtype.kind not in "biuf":
+        raise ValueError(f"per-cell loss must be real numbers, got dtype {loss.dtype}")
+    loss = loss.astype(np.float64, copy=False)
     if loss.shape != assignment.labels.shape:
         raise ValueError(
             f"loss map shape {loss.shape} != label grid shape {assignment.labels.shape}"

@@ -18,6 +18,7 @@ from spheredet import (
     siou,
     union_volume,
 )
+from spheredet.geometry import _lens_volume, _sphere_volume
 from helpers import random_rotation
 
 UNIT_A = Sphere((0.0, 0.0, 0.0), 1.0)
@@ -218,3 +219,17 @@ def test_tangency_boundary_is_continuous(r_a, r_b):
     b = Sphere(((r_a + r_b) * (1.0 - 1e-6), 0.0, 0.0), r_b)
     v_small = min(a.volume, b.volume)
     assert 0.0 <= intersection_volume(a, b) <= 1e-4 * v_small
+
+
+def test_volume_arithmetic_on_arrays_matches_scalars_bit_for_bit():
+    # Cubes are written as products, so NumPy and Python round alike.
+    rng = np.random.default_rng(17)
+    r_a = rng.uniform(0.1, 10.0, 5000)
+    r_b = rng.uniform(0.1, 10.0, 5000)
+    lo, hi = np.abs(r_a - r_b), r_a + r_b
+    d = lo + rng.uniform(0.0, 1.0, 5000) * (hi - lo)
+    scalars = [tuple(map(float, row)) for row in zip(r_a, r_b, d)]
+    lens = [_lens_volume(*row) for row in scalars]
+    assert _lens_volume(r_a, r_b, d).tobytes() == np.array(lens).tobytes()
+    volumes = [_sphere_volume(float(r)) for r in r_a]
+    assert _sphere_volume(r_a).tobytes() == np.array(volumes).tobytes()

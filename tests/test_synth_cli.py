@@ -865,13 +865,16 @@ def test_cli_json_boolean_config_value_fails_cleanly(tmp_path, capsys, raw):
     _assert_one_line_error(capsys, f"error: {config}: ")
 
 
-@pytest.mark.parametrize("kind", ["nan", "text"])
+@pytest.mark.parametrize("kind", ["nan", "text", "complex"])
 def test_cli_assign_loss_map_value_errors_name_file(tmp_path, capsys, kind):
     annotations, config = _write_assign_fixture(tmp_path)
     loss_map = tmp_path / "loss.npy"
     values = np.zeros((6, 6, 6))
     values[5, 5, 5] = np.nan  # a negative cell, far from the nodule
-    np.save(loss_map, values if kind == "nan" else values.astype(str))
+    if kind == "complex":
+        values = np.zeros((6, 6, 6), dtype=complex)
+        values[5, 5, 5] = 1j
+    np.save(loss_map, values.astype(str) if kind == "text" else values)
     rc, out = _run_assign(
         tmp_path, annotations, "--config", str(config), "--loss-map", str(loss_map)
     )
@@ -887,7 +890,33 @@ def test_cli_assign_bad_n_is_not_blamed_on_the_loss_map(tmp_path, capsys):
         tmp_path, annotations, "--config", str(config), "--loss-map", str(loss_map), "--n", "0"
     )
     assert rc == 2 and not out.exists()
-    _assert_one_line_error(capsys, "error: n must be >= 1, got 0")
+    _assert_one_line_error(capsys, "error: command line: n must be >= 1, got 0")
+
+
+@pytest.mark.parametrize("origin", ["flag", "file"])
+@pytest.mark.parametrize(
+    "command,key,low",
+    [
+        (["assign", "--annotations", "a.csv", "--scan-id", "s", "--out", "{out}"], "k", 1),
+        (["assign", "--annotations", "a.csv", "--scan-id", "s", "--out", "{out}"], "n", 1),
+        (["detect", "--grids", "a.grid", "--out", "{out}"], "top_n", 1),
+        (["synth", "--out-dir", "{out}", "--scans", "1"], "seed", 0),
+    ],
+    ids=["k", "n", "top_n", "seed"],
+)
+def test_cli_count_below_range_names_key_and_origin(tmp_path, capsys, command, key, low, origin):
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in command]
+    if origin == "flag":
+        argv += ["--" + key.replace("_", "-"), str(low - 1)]
+        where = "command line"
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: low - 1}))
+        argv += ["--config", str(config)]
+        where = str(config)
+    assert main(argv) == 2 and not out.exists()
+    _assert_one_line_error(capsys, f"error: {where}: {key} must be >= {low}, got {low - 1}\n")
 
 
 def _level_zero_grid(stride):
