@@ -2,11 +2,10 @@
 
 Consumes the BitGenerator stream through ``random_raw``, one 64-bit output
 per sample: the high 32 bits give the axial position and the low 32 bits
-the squared radial distance, as in the compiled kernel.  For PCG64,
-``random_raw`` returns the kernel's ``next_uint64`` stream.  Every step
-evaluates the kernel's float expressions in the kernel's order, in buffers
-allocated once per call, so hit counts from the two backends are
-bit-identical.
+the squared radial distance, as in the compiled kernel, which steps PCG64
+itself through the same stream.  Every step evaluates the kernel's float
+expressions in the kernel's order, in buffers allocated once per call, so
+hit counts from the two backends are bit-identical.
 """
 
 from __future__ import annotations

@@ -41,6 +41,14 @@ ANNOTATION_HEADER = "seriesuid,coordX,coordY,coordZ,diameter_mm"
 CANDIDATE_HEADER = "seriesuid,coordX,coordY,coordZ,radius,probability"
 FROC_HEADER = "fps_per_scan,sensitivity"
 
+# The largest world coordinate or radius the readers accept.  Sums of a few
+# such values, their squares and their cubes stay finite, so the geometry,
+# NMS and FROC can square distances and cube radii without overflowing.
+_WORLD_LIMIT = 1e100
+# A decoded center is (i + 0.5 + v) * stride and a radius r * stride, with
+# the offset v and the radius r any finite float32.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 def atomic_write_bytes(path: Path, *chunks) -> None:
     """Writes the chunks in order via a same-directory temp file and atomic
@@ -120,6 +128,10 @@ def _parse_grid_header(handle: BinaryIO, path: Path) -> GridHeader:
         spec = GridSpec(dims=tuple(dims), stride=header["stride"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if spec.stride > _WORLD_LIMIT / (max(spec.dims) + 0.5 + _FLOAT32_MAX):
+        raise ValueError(
+            f"{path}: stride {spec.stride} could decode world values above {_WORLD_LIMIT:g}"
+        )
     scan_id = str(header.get("scan_id") or path.stem)
     if "," in scan_id or scan_id.splitlines() != [scan_id]:  # would break the CSVs
         raise ValueError(f"{path}: scan id {scan_id!r} holds a comma or line break")
@@ -178,6 +190,8 @@ def _parse_float(token: str, path: Path, lineno: int, column: str) -> float:
         ) from exc
     if not np.isfinite(value):
         raise ValueError(f"{path}:{lineno}: non-finite {column} value {token!r}")
+    if abs(value) > _WORLD_LIMIT:
+        raise ValueError(f"{path}:{lineno}: {column} value {token!r} exceeds {_WORLD_LIMIT:g}")
     return value
 
 

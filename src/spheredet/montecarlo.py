@@ -13,10 +13,15 @@ constant even for sliver overlaps.
 
 Backends: the compiled kernel ``spheredet._mc_core`` when it has been built
 (``python setup.py build_ext --inplace`` compiles the hand-written
-``_mc_core.c``; it needs only a C compiler and the NumPy headers) and its
+``_mc_core.c``; it needs a C compiler with 128-bit integers) and its
 ``SAMPLER`` tag matches the fallback's, otherwise the pure-numpy fallback
-``spheredet._mc_python``.  Both consume the identical PCG64 stream and
-return bit-identical counts; set ``SPHEREDET_FORCE_PYTHON=1`` to force the
+``spheredet._mc_python``.  The kernel steps PCG64 itself: it reads the
+generator's state under its lock, runs four interleaved lanes of the one
+stream (each lane jumps four steps at a time), fills blocks of 1024 raw
+draws and counts each block's hits in a separate vectorisable pass, then
+writes back the state ``samples`` steps ahead.  So both backends consume the
+identical stream, return bit-identical counts and leave the generator where
+``random_raw(samples)`` does; set ``SPHEREDET_FORCE_PYTHON=1`` to force the
 fallback.  ``backend_name()`` reports which one is in use.
 """
 

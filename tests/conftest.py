@@ -1,5 +1,5 @@
-"""Test-session plumbing: the hypothesis profile and the acceptance-criteria
-summary block."""
+"""Test-session plumbing: the hypothesis profile, the sampling backend in the
+report header and the acceptance-criteria summary block."""
 
 from __future__ import annotations
 
@@ -13,6 +13,18 @@ settings.register_profile(
     "spheredet", derandomize=True, deadline=None, max_examples=100, database=None
 )
 settings.load_profile("spheredet")
+
+
+def _backend_line() -> str:
+    from spheredet.montecarlo import backend_name
+
+    return f"sampling backend: {backend_name()}"
+
+
+def pytest_report_header(config):
+    """Names the Monte-Carlo backend, which sets how long C1 takes."""
+    return _backend_line()
+
 
 _ACCEPTANCE_PATTERN = re.compile(r"test_acceptance\.py::test_(c\d+)_(\w+)")
 
@@ -32,5 +44,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not outcomes:
         return
     terminalreporter.section("acceptance criteria")
+    # -q hides the report header, so the backend is named here as well.
+    terminalreporter.write_line(_backend_line())
     for (_, cid, label), status in sorted(outcomes.items()):
         terminalreporter.write_line(f"[ACCEPTANCE] {cid} {label}: {status}")

@@ -1,5 +1,8 @@
 """Round trips and malformed-input handling for the on-disk formats."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,14 @@ from spheredet import (
     Candidate,
     FrocCurve,
     GridSpec,
+    NmsParams,
     NoduleAnnotation,
     PredictionGrid,
     Sphere,
     froc_json_payload,
     read_annotations,
     read_candidates,
+    detect_candidates,
     read_grid,
     write_annotations,
     write_candidates,
@@ -195,6 +200,31 @@ def test_grid_rejects_wrongly_typed_header(tmp_path, header, message):
         read_grid(path)
 
 
+def test_grid_stride_bound_keeps_decoded_squares_finite(tmp_path):
+    # The largest stride read_grid takes for dims (1, 1, 2): every float32
+    # offset and radius decodes to world values whose squares and cubes stay
+    # finite, so NMS runs without an overflow warning.  One more is refused.
+    f32max = float(np.finfo(np.float32).max)
+    stride = int(1e100 / (2 + 0.5 + f32max))
+    dims = (1, 1, 2)
+    grid = PredictionGrid(
+        spec=GridSpec(dims=dims, stride=stride),
+        center_prob=np.full(dims, 0.5),
+        radius=np.full(dims, f32max),
+        offset=np.full(dims + (3,), f32max),
+        scan_id="edge",
+    )
+    path = tmp_path / "edge.grid"
+    write_grid(path, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept = detect_candidates([read_grid(path)], 2, NmsParams())
+    assert len(kept) == 1
+    write_grid(path, replace(grid, spec=GridSpec(dims=dims, stride=stride + 1)))
+    with pytest.raises(ValueError, match=r"edge\.grid: stride .* above 1e\+100"):
+        read_grid(path)
+
+
 def test_grid_rejects_missing_header_line(tmp_path):
     path = tmp_path / "noheader.grid"
     path.write_bytes(b"SCPMGRID1\n")
@@ -276,6 +306,20 @@ def test_annotations_reject_non_finite(tmp_path):
     path.write_text("seriesuid,coordX,coordY,coordZ,diameter_mm\ns1,inf,2.0,3.0,8.0\n")
     with pytest.raises(ValueError, match=r"inf\.csv:2: non-finite coordX"):
         read_annotations(path)
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [("1e101,2.0,3.0,8.0", "coordX"), ("1.0,2.0,-1e101,8.0", "coordZ"),
+     ("1.0,2.0,3.0,1e101", "diameter_mm")],
+)
+def test_annotations_reject_values_beyond_the_world_limit(tmp_path, row, column):
+    path = tmp_path / "far.csv"
+    path.write_text(f"seriesuid,coordX,coordY,coordZ,diameter_mm\ns1,{row}\n")
+    with pytest.raises(ValueError, match=rf"far\.csv:2: {column} value .* exceeds 1e\+100"):
+        read_annotations(path)
+    path.write_text("seriesuid,coordX,coordY,coordZ,diameter_mm\ns1,1e100,-1e100,0,1e100\n")
+    assert read_annotations(path)["s1"][0].radius == 5e99
 
 
 def test_annotations_skip_blank_lines(tmp_path):

@@ -84,21 +84,61 @@ def test_rejects_bad_sample_count():
         mc_intersection_volume(a, b, samples=0, seed=0)
 
 
-@pytest.mark.parametrize("n", [1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1])
-def test_backends_count_identically(n):
-    # The counts straddle the fallback's 2^20-sample chunk boundary.
+# Raw draws per block of the compiled kernel (BLOCK in _mc_core.c).
+_BLOCK = 1024
+# A fixed 128-bit jump, drawn once at random.
+_JUMP = 0xA5E1_7C39_0D4B_F2E8_6613_9B07_C4AD_5F21
+
+
+def _fresh():
+    return np.random.PCG64(123)
+
+
+def _jumped():
+    return np.random.PCG64(123).advance(_JUMP)
+
+
+def _holding_a_uint32():
+    # One 32-bit draw leaves the other half of a 64-bit output buffered.
+    generator = np.random.PCG64(123)
+    np.random.Generator(generator).integers(0, 1 << 32, dtype=np.uint32)
+    assert generator.state["has_uint32"] == 1
+    return generator
+
+
+@pytest.mark.parametrize(
+    "n,make",
+    [
+        pytest.param(n, _fresh, id=str(n))
+        for n in [-1, 0, *range(1, 10), _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                  (1 << 20) - 1, 1 << 20, (1 << 20) + 1]
+    ]
+    + [
+        pytest.param(_BLOCK + 3, _jumped, id="jumped"),
+        pytest.param(_BLOCK + 3, _holding_a_uint32, id="has_uint32"),
+    ],
+)
+def test_backends_count_identically(n, make):
+    # The counts straddle the compiled kernel's lane groups and blocks and the
+    # fallback's 2^20-sample chunks; both must leave the generator where
+    # random_raw(n) does.
     compiled = pytest.importorskip("spheredet._mc_core")
     for r_a, r_b, d in PAIRS:
         box = _lens_box(r_a, r_b, d)
         assert box is not None
         x_lo, x_hi, rho = box
+        generator_compiled, generator_python = make(), make()
+        before = generator_compiled.state
         hits_compiled = compiled.count_hits(
-            np.random.PCG64(123), n, r_a, r_b, d, x_lo, x_hi, rho
+            generator_compiled, n, r_a, r_b, d, x_lo, x_hi, rho
         )
         hits_python = _mc_python.count_hits(
-            np.random.PCG64(123), n, r_a, r_b, d, x_lo, x_hi, rho
+            generator_python, n, r_a, r_b, d, x_lo, x_hi, rho
         )
         assert hits_compiled == hits_python
+        assert generator_compiled.state == generator_python.state
+        if n <= 0:
+            assert generator_compiled.state == before
 
 
 def _reference_count(seed, n, r_a, r_b, d, x_lo, x_hi, rho):
@@ -177,6 +217,27 @@ def test_compiled_kernel_rejects_a_foreign_capsule():
         with pytest.raises(ValueError, match="BitGenerator capsule"):
             compiled.count_hits(fake, 10, 1.0, 1.0, 1.0, 0.0, 1.0, 0.5)
         assert not fake.lock.locked()
+
+
+@pytest.mark.parametrize("kind", [np.random.Philox, np.random.PCG64DXSM])
+def test_compiled_kernel_rejects_a_bit_generator_other_than_pcg64(kind):
+    compiled = pytest.importorskip("spheredet._mc_core")
+    generator = kind(5)
+    with pytest.raises(ValueError, match="PCG64"):
+        compiled.count_hits(generator, 10, 1.0, 1.0, 1.0, 0.0, 1.0, 0.5)
+    assert generator.random_raw() == kind(5).random_raw()  # the stream did not move
+    # The lock may be reentrant, so only another thread can tell it is free.
+    acquired = []
+
+    def probe():
+        acquired.append(generator.lock.acquire(blocking=False))
+        if acquired[0]:
+            generator.lock.release()
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    assert acquired == [True]
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -725,7 +726,29 @@ def test_cli_froc_overflowing_coordinate_fails_cleanly(tmp_path, capsys):
         ]
     )
     assert rc == 2
-    _assert_one_line_error(capsys, "error: ")
+    _assert_one_line_error(capsys, f"error: {candidates}:2: coordX value ")
+    assert not out.exists()
+
+
+def test_cli_detect_stride_overflowing_world_values_fails_cleanly(tmp_path, capsys):
+    # Decoded centers near 2^520 overflow when NMS squares their distances.
+    grid = PredictionGrid(
+        spec=GridSpec(dims=(1, 1, 2), stride=2**520),
+        center_prob=np.full((1, 1, 2), 0.5),
+        radius=np.ones((1, 1, 2)),
+        offset=np.zeros((1, 1, 2, 3)),
+        level=0,
+        scan_id="s",
+    )
+    path = tmp_path / "huge.grid"
+    write_grid(path, grid)
+    out = tmp_path / "candidates.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["detect", "--grids", str(path), "--out", str(out)])
+    assert rc == 2
+    _assert_one_line_error(capsys, f"error: {path}: stride ")
+    assert caught == []
     assert not out.exists()
 
 
