@@ -65,12 +65,13 @@ class PredictionGrid:
                 f"offset shape {self.offset.shape} != {(d, h, w, 3)}"
             )
         # NaN and +-inf show in min() or max(): no boolean temporaries.
-        for name, arr in (("center_prob", self.center_prob),
-                          ("radius", self.radius),
-                          ("offset", self.offset)):
-            if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        names = ("center_prob", "radius", "offset")
+        bounds = [(getattr(self, name).min(), getattr(self, name).max()) for name in names]
+        for name, (lo, hi) in zip(names, bounds):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"{name} contains non-finite values")
-        if self.center_prob.min() < 0.0 or self.center_prob.max() > 1.0:
+        prob_lo, prob_hi = bounds[0]
+        if prob_lo < 0.0 or prob_hi > 1.0:
             raise ValueError("center_prob values must lie in [0, 1]")
 
 
@@ -114,29 +115,40 @@ def _sort_key(candidate: Candidate):
     return (-candidate.score, candidate.cell_index, candidate.level)
 
 
+def _decode(
+    grid: PredictionGrid, cells: np.ndarray, stats: Optional[DecodeStats] = None
+) -> List[Candidate]:
+    """Decodes the cells at linear indices ``cells``, in that order, dropping
+    (and tallying in ``stats``) those whose decoded radius is nonpositive."""
+    iz, iy, ix = np.unravel_index(cells, grid.spec.dims)
+    # Widened to float64 before any arithmetic: float32 * int stays float32.
+    radius = grid.radius[iz, iy, ix].astype(np.float64) * grid.spec.stride
+    keep = radius > 0.0
+    if stats is not None:
+        stats.dropped_nonpositive_radius += int(keep.size - np.count_nonzero(keep))
+    offset = grid.offset[iz, iy, ix].astype(np.float64).T
+    center = np.stack(_cell_center((ix, iy, iz), offset, grid.spec.stride), axis=-1)
+    # .tolist() gives Python floats and ints: no NumPy scalar reaches a Candidate.
+    rows = zip(center[keep].tolist(), radius[keep].tolist(),
+               grid.center_prob[iz, iy, ix][keep].tolist(), cells[keep].tolist())
+    return [Candidate(Sphere(tuple(c), r), p, grid.level, i) for c, r, p, i in rows]
+
+
 def decode_cell(grid: PredictionGrid, cell: Tuple[int, int, int]) -> Candidate:
     """Decodes one (ix, iy, iz) cell into a candidate.
 
     Raises:
         IndexError: if the cell lies outside the grid.
-        ValueError: if the decoded radius is nonpositive (callers that scan
-            many cells catch this and count the drop).
+        ValueError: if the decoded radius is nonpositive.
     """
     ix, iy, iz = cell
     d, h, w = grid.spec.dims
     if not (0 <= ix < w and 0 <= iy < h and 0 <= iz < d):
         raise IndexError(f"cell {cell} outside grid dims (W={w}, H={h}, D={d})")
-    stride = grid.spec.stride
-    decoded_radius = float(grid.radius[iz, iy, ix]) * stride
-    if decoded_radius <= 0.0:
+    decoded = _decode(grid, np.array([(iz * h + iy) * w + ix]))
+    if not decoded:
         raise ValueError(f"nonpositive decoded radius at cell {cell}")
-    center = _cell_center(cell, grid.offset[iz, iy, ix], stride)
-    return Candidate(
-        sphere=Sphere(center, decoded_radius),
-        score=float(grid.center_prob[iz, iy, ix]),
-        level=grid.level,
-        cell_index=grid.spec.linear_index((ix, iy, iz)),
-    )
+    return decoded[0]
 
 
 def top_n_candidates(
@@ -156,19 +168,7 @@ def top_n_candidates(
     floor = np.partition(flat, flat.size - n)[flat.size - n]
     above = np.flatnonzero(flat > floor)
     chosen = np.concatenate([above, np.flatnonzero(flat == floor)[: n - above.size]])
-    order = chosen[np.lexsort((chosen, -flat[chosen]))]
-    d, h, w = grid.spec.dims
-    out: List[Candidate] = []
-    for lin in order:
-        lin = int(lin)
-        iz, rem = divmod(lin, h * w)
-        iy, ix = divmod(rem, w)
-        try:
-            out.append(decode_cell(grid, (ix, iy, iz)))
-        except ValueError:
-            if stats is not None:
-                stats.dropped_nonpositive_radius += 1
-    return out
+    return _decode(grid, chosen[np.lexsort((chosen, -flat[chosen]))], stats)
 
 
 def merge_levels(a: Sequence[Candidate], b: Sequence[Candidate]) -> List[Candidate]:

@@ -7,14 +7,18 @@ candidates hitting an already-credited annotation are neither true nor
 false positives; candidates hitting nothing are false positives.
 
 The curve reports, at each false-positives-per-scan budget, the maximum
-sensitivity over score thresholds whose FP rate stays within the budget
-(both sensitivity and FP rate grow as the threshold drops, so this is the
-most permissive feasible threshold).
+sensitivity over score thresholds whose FP rate stays within the budget.
+Both grow as the threshold drops, so one cutoff decides each budget: the
+budget admits the top ``allowed`` FP scores (every k >= 1 with k / n_scans
+<= budget), the cutoff is the next FP score (-inf if none is left, and FPs
+tied with it drop together), and the sensitivity counts the triggers
+strictly above it.  A negative budget admits no threshold and reads 0.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -118,34 +122,19 @@ def froc(
     trigger_scores: List[float] = []
     for result in results:
         assignment = match_hits(result)
-        for candidate, label in zip(assignment.candidates, assignment.labels):
-            if label is HitLabel.FP:
-                fp_scores.append(candidate.score)
+        labelled = zip(assignment.candidates, assignment.labels)
+        fp_scores += [c.score for c, label in labelled if label is HitLabel.FP]
         trigger_scores.extend(s for s in assignment.trigger_score if s is not None)
 
-    # Sweep thresholds over the distinct event scores, descending; counts are
-    # "score >= threshold".  Both counters are nondecreasing along the walk,
-    # so for each budget the last feasible prefix carries the answer.
-    breakpoints = sorted(set(fp_scores) | set(trigger_scores), reverse=True)
-    fp_sorted = sorted(fp_scores, reverse=True)
-    trig_sorted = sorted(trigger_scores, reverse=True)
-    sweep: List[Tuple[float, float]] = []  # (fps_per_scan, sensitivity)
-    fp_i = 0
-    trig_i = 0
-    for theta in breakpoints:
-        while fp_i < len(fp_sorted) and fp_sorted[fp_i] >= theta:
-            fp_i += 1
-        while trig_i < len(trig_sorted) and trig_sorted[trig_i] >= theta:
-            trig_i += 1
-        sweep.append((fp_i / n_scans, trig_i / total_annotations))
-
+    fp_scores.sort(reverse=True)
     points: List[Tuple[float, float]] = []
     for budget in operating_points:
-        best = 0.0  # the empty threshold (+inf) is always feasible
-        for fps, sensitivity in sweep:
-            if fps > budget:
-                break
-            best = sensitivity
-        points.append((float(budget), best))
+        allowed = 0  # FPs the budget admits: k / n_scans <= budget for k = 1..allowed
+        while allowed < len(fp_scores) and (allowed + 1) / n_scans <= budget:
+            allowed += 1
+        # Every FP tied with the first one past the budget drops with it.
+        cutoff = fp_scores[allowed] if allowed < len(fp_scores) else -math.inf
+        detected = sum(score > cutoff for score in trigger_scores) if budget >= 0.0 else 0
+        points.append((float(budget), detected / total_annotations))
     average = sum(s for _, s in points) / len(points)
     return FrocCurve(points=tuple(points), average=average)

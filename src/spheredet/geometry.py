@@ -6,7 +6,7 @@ spherical caps bounding the intersection lens; from those the lens volume,
 the union volume, and the sphere-IoU follow in closed form.  Three mutually
 exclusive regimes partition every configuration:
 
-* ``disjoint``:     d >= r_a + r_b   (tangency counts as disjoint)
+* ``disjoint``:     d >= r_a + r_b, compared exactly (tangency counts as disjoint)
 * ``contained``:    d + min(r) <= max(r)  (one sphere inside the other;
   the lens is the smaller sphere)
 * ``intersecting``: everything else (a proper two-cap lens)
@@ -91,8 +91,18 @@ def _distance(ca: Point3, cb: Point3) -> float:
     )
 
 
+def _gap(a: float, b: float, c: float) -> float:
+    """``a + b - c`` for a, b, c >= 0 with the exact sign: the rounding error
+    of a + b (Knuth's two-sum) is added back after subtracting c, which is
+    exact where the result nearly cancels (Sterbenz)."""
+    s = a + b
+    b_virtual = s - a
+    error = (a - (s - b_virtual)) + (b - b_virtual)
+    return (s - c) + error
+
+
 def _classify(r_a: float, r_b: float, d: float) -> Regime:
-    if d >= r_a + r_b:
+    if _gap(r_a, r_b, d) <= 0.0:
         return Regime.DISJOINT
     if d + min(r_a, r_b) <= max(r_a, r_b):
         return Regime.CONTAINED
@@ -112,10 +122,11 @@ def _cap_heights(r_a: float, r_b: float, d: float) -> Tuple[float, float]:
     """(h2, h1): the lens's cap heights on sphere a and on sphere b (needs d > 0).
 
     r * (1 - cos) multiplied out into factors that vanish only where the
-    height does, so no digits cancel near tangency.
+    height does, each computed by ``_gap``, so no digits cancel near
+    tangency or containment.
     """
-    half_gap = (r_a + r_b - d) / (2.0 * d)
-    return (r_b - r_a + d) * half_gap, (r_a - r_b + d) * half_gap
+    half_gap = _gap(r_a, r_b, d) / (2.0 * d)
+    return _gap(r_b, d, r_a) * half_gap, _gap(r_a, d, r_b) * half_gap
 
 
 def _lens_volume(r_a: float, r_b: float, d: float) -> float:
@@ -157,7 +168,7 @@ def _rdr(r_a: float, r_b: float, d: float) -> float:
 
 
 def _angle_score(r_a: float, r_b: float, d: float) -> float:
-    if d > r_a + r_b:
+    if _gap(r_a, r_b, d) < 0.0:
         return 0.0
     return math.acos(_aperture_cos(r_a, r_b, d)) / math.pi
 
@@ -230,7 +241,7 @@ def distance_radius_ratio(a: Sphere, b: Sphere) -> float:
 def angle_score(a: Sphere, b: Sphere) -> float:
     """Aperture-angle penalty in [0, 1].
 
-    Zero when the centers are farther apart than the radius sum; otherwise
+    Zero when the centers are farther apart than the exact radius sum; otherwise
     arccos of the (clamped) center-to-center aperture cosine, normalized by
     pi.  Exactly at tangency the arccos branch applies and yields 1; the
     sphere losses never consume that value because their own disjoint branch

@@ -26,28 +26,20 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import BinaryIO, Dict, List, NamedTuple, Sequence, Tuple
+from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .decode import Candidate, PredictionGrid
 from .froc import FrocCurve
 from .geometry import Sphere
-from .matching import GridSpec, NoduleAnnotation
+from .matching import _WORLD_LIMIT, GridSpec, NoduleAnnotation
 
 GRID_MAGIC = b"SCPMGRID1"
 
 ANNOTATION_HEADER = "seriesuid,coordX,coordY,coordZ,diameter_mm"
 CANDIDATE_HEADER = "seriesuid,coordX,coordY,coordZ,radius,probability"
 FROC_HEADER = "fps_per_scan,sensitivity"
-
-# The largest world coordinate or radius the readers accept.  Sums of a few
-# such values, their squares and their cubes stay finite, so the geometry,
-# NMS and FROC can square distances and cube radii without overflowing.
-_WORLD_LIMIT = 1e100
-# A decoded center is (i + 0.5 + v) * stride and a radius r * stride, with
-# the offset v and the radius r any finite float32.
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def atomic_write_bytes(path: Path, *chunks) -> None:
@@ -126,12 +118,8 @@ def _parse_grid_header(handle: BinaryIO, path: Path) -> GridHeader:
         raise ValueError(f"{path}: bad level {level!r}")
     try:
         spec = GridSpec(dims=tuple(dims), stride=header["stride"])
-    except ValueError as exc:
+    except ValueError as exc:  # including the world bound on the stride
         raise ValueError(f"{path}: {exc}") from None
-    if spec.stride > _WORLD_LIMIT / (max(spec.dims) + 0.5 + _FLOAT32_MAX):
-        raise ValueError(
-            f"{path}: stride {spec.stride} could decode world values above {_WORLD_LIMIT:g}"
-        )
     scan_id = str(header.get("scan_id") or path.stem)
     if "," in scan_id or scan_id.splitlines() != [scan_id]:  # would break the CSVs
         raise ValueError(f"{path}: scan id {scan_id!r} holds a comma or line break")
@@ -222,6 +210,19 @@ def _read_csv_rows(path: Path, header: str) -> List[Tuple[int, List[str]]]:
     return rows
 
 
+def _read_sphere_rows(path: Path, header: str, size: str) -> Iterator[tuple]:
+    """Yields (lineno, scan id, the float columns) per row of a sphere CSV:
+    seriesuid, coordX, coordY, coordZ, the sphere's ``size`` (> 0), and more."""
+    columns = header.split(",")[1:]
+    for lineno, fields in _read_csv_rows(path, header):
+        if not fields[0]:
+            raise ValueError(f"{path}:{lineno}: empty seriesuid")
+        values = [_parse_float(t, path, lineno, c) for t, c in zip(fields[1:], columns)]
+        if values[3] <= 0.0:
+            raise ValueError(f"{path}:{lineno}: {size} must be > 0, got {values[3]}")
+        yield lineno, fields[0], values
+
+
 def read_annotations(path: Path) -> Dict[str, List[NoduleAnnotation]]:
     """Reads an annotation CSV, converting diameters to radii.
 
@@ -229,25 +230,14 @@ def read_annotations(path: Path) -> Dict[str, List[NoduleAnnotation]]:
     "<seriesuid>:<per-scan ordinal>".
     """
     by_scan: Dict[str, List[NoduleAnnotation]] = {}
-    for lineno, fields in _read_csv_rows(Path(path), ANNOTATION_HEADER):
-        scan_id = fields[0]
-        if not scan_id:
-            raise ValueError(f"{path}:{lineno}: empty seriesuid")
-        x = _parse_float(fields[1], path, lineno, "coordX")
-        y = _parse_float(fields[2], path, lineno, "coordY")
-        z = _parse_float(fields[3], path, lineno, "coordZ")
-        diameter = _parse_float(fields[4], path, lineno, "diameter_mm")
-        if diameter <= 0.0:
-            raise ValueError(f"{path}:{lineno}: diameter must be > 0, got {diameter}")
+    rows = _read_sphere_rows(path, ANNOTATION_HEADER, "diameter")
+    for lineno, scan_id, (x, y, z, diameter) in rows:
         items = by_scan.setdefault(scan_id, [])
         try:  # a subnormal diameter halves to a zero radius
-            items.append(
-                NoduleAnnotation(
-                    id=f"{scan_id}:{len(items)}", center=(x, y, z), radius=diameter / 2.0
-                )
-            )
+            annotation = NoduleAnnotation(f"{scan_id}:{len(items)}", (x, y, z), diameter / 2.0)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        items.append(annotation)
     return by_scan
 
 
@@ -267,21 +257,10 @@ def write_annotations(
 def read_candidates(path: Path) -> Dict[str, List[Candidate]]:
     """Reads a candidate CSV; returns scan id -> candidates in file order."""
     by_scan: Dict[str, List[Candidate]] = {}
-    for lineno, fields in _read_csv_rows(Path(path), CANDIDATE_HEADER):
-        scan_id = fields[0]
-        if not scan_id:
-            raise ValueError(f"{path}:{lineno}: empty seriesuid")
-        x = _parse_float(fields[1], path, lineno, "coordX")
-        y = _parse_float(fields[2], path, lineno, "coordY")
-        z = _parse_float(fields[3], path, lineno, "coordZ")
-        radius = _parse_float(fields[4], path, lineno, "radius")
-        probability = _parse_float(fields[5], path, lineno, "probability")
-        if radius <= 0.0:
-            raise ValueError(f"{path}:{lineno}: radius must be > 0, got {radius}")
+    rows = _read_sphere_rows(path, CANDIDATE_HEADER, "radius")
+    for lineno, scan_id, (x, y, z, radius, probability) in rows:
         if not 0.0 <= probability <= 1.0:
-            raise ValueError(
-                f"{path}:{lineno}: probability must lie in [0, 1], got {probability}"
-            )
+            raise ValueError(f"{path}:{lineno}: probability must lie in [0, 1], got {probability}")
         by_scan.setdefault(scan_id, []).append(
             Candidate(sphere=Sphere((x, y, z), radius), score=probability)
         )

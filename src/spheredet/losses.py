@@ -186,7 +186,7 @@ _SIOU_PP_DISJOINT = (0.0, ((1.0, _RDR),))
 
 def _makeup(kind: SphereLossKind, r_a: float, r_b: float, d: float) -> Tuple[float, tuple]:
     """(constant, signed terms) of a sphere-overlap kind for this pair."""
-    if kind is SphereLossKind.SIOU_PP and d >= r_a + r_b:
+    if kind is SphereLossKind.SIOU_PP and _classify(r_a, r_b, d) is Regime.DISJOINT:
         return _SIOU_PP_DISJOINT
     makeup = _MAKEUP.get(kind)
     if makeup is None:
@@ -336,7 +336,7 @@ def total_loss(
             raise ValueError(
                 f"nonpositive predicted radius at positive cell ({ix}, {iy}, {iz})"
             )
-        pred_center = _cell_center((ix, iy, iz), offsets[iz, iy, ix], stride)
+        pred_center = _cell_center((ix, iy, iz), offsets[iz, iy, ix].tolist(), stride)
         siou_pp_sum += sphere_loss(
             SphereLossKind.SIOU_PP, Sphere(pred_center, pred_radius), gt
         )

@@ -48,13 +48,19 @@ def _is_count(value) -> bool:
         return False
 
 
+# The largest world coordinate or radius accepted: sums of a few such values,
+# their squares and their cubes stay finite in the geometry, NMS and FROC.
+_WORLD_LIMIT = 1e100
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Prediction grid geometry.
 
     Attributes:
         dims: cell counts (D, H, W) along (z, y, x).
-        stride: world voxels per cell (R).
+        stride: world voxels per cell (R); no cell may decode past ``_WORLD_LIMIT``.
     """
 
     dims: Tuple[int, int, int]
@@ -67,15 +73,15 @@ class GridSpec:
             raise ValueError(f"grid stride must be a positive integer, got {self.stride!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "stride", int(self.stride))
+        # Decoded centers (i + 0.5 + v) * stride and radii r * stride, v and r any float32.
+        if self.stride > _WORLD_LIMIT / (max(self.dims) + 0.5 + _FLOAT32_MAX):
+            raise ValueError(
+                f"stride {self.stride} could decode world values above {_WORLD_LIMIT:g}"
+            )
 
     @property
     def n_cells(self) -> int:
         return self.dims[0] * self.dims[1] * self.dims[2]
-
-    def linear_index(self, cell: Tuple[int, int, int]) -> int:
-        """Linear index (z-major, then y, then x) of an (ix, iy, iz) cell."""
-        ix, iy, iz = cell
-        return (iz * self.dims[1] + iy) * self.dims[2] + ix
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,9 @@ class LabelAssignment:
 
 def _cell_center(cell, offset, stride):
     """World center ``(i + 0.5 + v) * R`` per axis of cell (ix, iy, iz) with
-    offset (vx, vy, vz) in grid units; the cell indices may be arrays."""
-    return tuple((i + 0.5 + float(v)) * stride for i, v in zip(cell, offset))
+    offset (vx, vy, vz) in grid units; arrays work elementwise.  Offsets must
+    be Python floats or float64: a NumPy float32 scalar keeps the sum float32."""
+    return tuple((i + 0.5 + v) * stride for i, v in zip(cell, offset))
 
 
 def _cell_offset(center, cell, stride):

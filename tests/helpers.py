@@ -7,7 +7,9 @@ independent of the vectorized library code it cross-checks.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -23,8 +25,24 @@ from spheredet import (
     SphereGradient,
     SphereLossKind,
     sphere_loss,
+    write_grid,
 )
 from spheredet.geometry import distance_radius_ratio, siou
+
+# --------------------------------------------------------------------------
+# files
+
+
+def write_grid_with_stride(path: Path, grid, stride: int) -> None:
+    """Writes ``grid`` with ``stride`` in its header line in place of its own,
+    to make the files ``GridSpec`` itself refuses (a stride past the world bound)."""
+    write_grid(path, grid)
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    fields["stride"] = stride
+    line = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("ascii")
+    path.write_bytes(b"\n".join([magic, line, payload]))
+
 
 # --------------------------------------------------------------------------
 # finite differences

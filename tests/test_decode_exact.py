@@ -5,12 +5,15 @@ import pytest
 
 from spheredet import (
     Candidate,
+    DecodeStats,
     GridSpec,
     NmsParams,
     PredictionGrid,
     Sphere,
     nms_siou,
+    read_grid,
     top_n_candidates,
+    write_grid,
 )
 from helpers import nms_oracle
 
@@ -103,3 +106,48 @@ def test_top_n_order_equals_stable_argsort_on_ties(n):
         expected = np.argsort(-flat, kind="stable")[:n]
         got = [c.cell_index for c in top_n_candidates(grid, n)]
         assert got == [int(i) for i in expected]
+
+
+@pytest.mark.parametrize("n", [1, 50, 336])
+def test_top_n_decode_equals_a_per_cell_loop_on_float32_maps(tmp_path, n):
+    # Float32 maps from the grid container, tied scores, and about a third
+    # of the radii nonpositive.  An odd stride makes the product round, so
+    # summing in float32 instead of float64 would show.
+    rng = np.random.default_rng(500 + n)
+    dims, stride = (6, 7, 8), 3
+    nonpositive = rng.choice([0.0, -0.0, -0.5], size=dims)
+    radius = np.where(rng.random(dims) < 0.35, nonpositive, rng.uniform(0.1, 2.0, dims))
+    path = tmp_path / "ties.grid"
+    write_grid(path, PredictionGrid(
+        spec=GridSpec(dims=dims, stride=stride),
+        center_prob=rng.choice([0.1, 0.3, 0.7], size=dims),
+        radius=radius,
+        offset=rng.uniform(-0.5, 0.5, size=dims + (3,)),
+        level=2,
+    ))
+    grid = read_grid(path)
+    assert grid.radius.dtype == grid.offset.dtype == np.float32
+
+    expected, dropped = [], 0
+    d, h, w = dims
+    for lin in np.argsort(-grid.center_prob.ravel(), kind="stable")[:n].tolist():
+        iz, iy, ix = lin // (h * w), lin // w % h, lin % w
+        decoded_radius = float(grid.radius[iz, iy, ix]) * stride
+        if decoded_radius <= 0.0:
+            dropped += 1
+            continue
+        offset = grid.offset[iz, iy, ix]
+        center = tuple((i + 0.5 + float(v)) * stride for i, v in zip((ix, iy, iz), offset))
+        expected.append((center, decoded_radius, float(grid.center_prob[iz, iy, ix]), 2, lin))
+
+    stats = DecodeStats()
+    got = top_n_candidates(grid, n, stats)
+    assert [
+        (c.sphere.center, c.sphere.radius, c.score, c.level, c.cell_index) for c in got
+    ] == expected
+    assert stats.dropped_nonpositive_radius == dropped
+    assert n < 50 or 0 < dropped < n
+    for c in got:
+        assert type(c.sphere.center) is tuple
+        assert all(type(v) is float for v in (*c.sphere.center, c.sphere.radius, c.score))
+        assert type(c.cell_index) is int

@@ -12,12 +12,13 @@ is far below double precision.  Pairs sit near external tangency
 (d = (r_a + r_b)(1 - gap)) and near containment (d = |r_a - r_b| + 2 gap
 min(r_a, r_b), a share of the intersecting range), one gap bin at a time.
 
-Near tangency the one rounding that matters is that of r_a + r_b: its
-relative error u = 2^-53 becomes u / gap in the gap r_a + r_b - d.  SIoU is
-quadratic in that gap and its partials are linear, so their bounds are
-2 u / gap and u / gap at the bin's lower edge.  Near containment the errors
-measured on these pairs stay below 10 u and 150 u, and the bounds there are
-20 u and 200 u.
+The geometry computes each gap of the lens (r_a + r_b - d near tangency,
+|r_a - r_b| - d near containment) with an error-free sum, so no rounding of
+r_a + r_b is magnified by 1 / gap; with u = 2^-53, the errors measured on
+these pairs stay below 10 u for SIoU and 13 u for its partials in every bin.
+The bounds are 20 u, except 200 u for the partials near containment.  The
+regime test (disjoint iff d >= r_a + r_b) is exact as well: pairs within a
+few ulps of tangency get the regime an exact comparison gives.
 """
 
 import math
@@ -26,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spheredet.geometry import _siou
-from spheredet.losses import _siou_partials
+from spheredet.geometry import Regime, _angle_score, _classify, _siou
+from spheredet.losses import _SIOU_PP_DISJOINT, SphereLossKind, _makeup, _siou_partials
 
 STEP = Fraction(1, 10**60)
 PAIRS_PER_BIN = 400
@@ -35,7 +36,7 @@ U = 2.0**-53
 
 # (edge, gap_lo, gap_hi, siou bound, partials bound)
 BINS = [
-    *(("tangent", lo, hi, 2.0 * U / lo, U / lo) for lo, hi in
+    *(("tangent", lo, hi, 20.0 * U, 20.0 * U) for lo, hi in
       [(1e-12, 1e-9), (1e-9, 1e-6), (1e-6, 1e-3), (1e-3, 1.0)]),
     *(("contained", lo, hi, 20.0 * U, 200.0 * U) for lo, hi in
       [(1e-12, 1e-9), (1e-9, 1e-6), (1e-6, 1e-3), (1e-3, 0.3)]),
@@ -94,3 +95,26 @@ def test_siou_and_partials_track_the_exact_oracle(index):
         worst_partials = max(worst_partials, float(error / max(abs(exact_dd), abs(exact_dra))))
     assert worst_siou <= siou_bound
     assert worst_partials <= partials_bound
+
+
+def test_regime_at_external_tangency_matches_exact_comparison():
+    # d within 3 ulps below (and above) the rounded r_a + r_b: the exact sum
+    # decides whether the pair is disjoint, not its rounding; siou_pp's
+    # disjoint branch and the angle score's zero follow the same test.
+    rng = np.random.default_rng(2024)
+    flipped = 0
+    for r_a, r_b in rng.uniform(0.2, 5.0, size=(4000, 2)).tolist():
+        d = r_a + r_b
+        for _ in range(3):
+            d = float(np.nextafter(d, 0.0))
+        for _ in range(7):
+            disjoint = Fraction(d) >= Fraction(r_a) + Fraction(r_b)
+            expected = Regime.DISJOINT if disjoint else Regime.INTERSECTING
+            assert _classify(r_a, r_b, d) is expected, (r_a, r_b, d)
+            makeup = _makeup(SphereLossKind.SIOU_PP, r_a, r_b, d)
+            assert (makeup is _SIOU_PP_DISJOINT) == disjoint, (r_a, r_b, d)
+            apart = Fraction(d) > Fraction(r_a) + Fraction(r_b)
+            assert (_angle_score(r_a, r_b, d) == 0.0) == apart, (r_a, r_b, d)
+            flipped += disjoint != (d >= r_a + r_b)
+            d = float(np.nextafter(d, math.inf))
+    assert flipped > 0  # the rounded sum would get some of these wrong

@@ -148,10 +148,18 @@ def test_custom_operating_points():
 
 
 def test_random_curves_match_threshold_oracle():
+    # Distinct scores on 1-4 scans at the standard budgets; then scores tied
+    # at three values, on 3 and 7 scans, at budgets that are not dyadic.
     rng = np.random.default_rng(909)
-    for _ in range(20):
+    cases = [(None, lambda: float(rng.uniform(0.05, 0.95)), OPERATING_POINTS)] * 20
+    cases += [
+        (n_scans, lambda: float(rng.choice([0.25, 0.5, 0.75])), (0.1, 1 / 3, 2.5))
+        for n_scans in (3, 7)
+        for _ in range(10)
+    ]
+    for n_scans, draw_score, budgets in cases:
         results = []
-        for s in range(int(rng.integers(1, 5))):
+        for s in range(n_scans or int(rng.integers(1, 5))):
             annotations = [
                 anno(f"g{j}", tuple(float(x) for x in rng.uniform(0, 200, 3)), float(rng.uniform(3, 8)))
                 for j in range(int(rng.integers(0, 4)))
@@ -164,11 +172,9 @@ def test_random_curves_match_threshold_oracle():
                     center = tuple(float(c + d) for c, d in zip(target.center, jitter))
                 else:
                     center = tuple(float(x) for x in rng.uniform(300, 600, 3))
-                candidates.append(
-                    cand(center, float(rng.uniform(0.05, 0.95)), cell_index=j)
-                )
+                candidates.append(cand(center, draw_score(), cell_index=j))
             results.append(scan(f"s{s}", candidates, annotations))
         if sum(len(r.annotations) for r in results) == 0:
             continue
-        curve = froc(results)
-        assert curve.points == tuple(froc_threshold_oracle(results, OPERATING_POINTS))
+        curve = froc(results, operating_points=budgets)
+        assert curve.points == tuple(froc_threshold_oracle(results, budgets))

@@ -1,7 +1,6 @@
 """Round trips and malformed-input handling for the on-disk formats."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from spheredet import (
     write_froc_csv,
     write_grid,
 )
+from helpers import write_grid_with_stride
 
 
 def sample_grid(scan_id="scan-7"):
@@ -220,7 +220,9 @@ def test_grid_stride_bound_keeps_decoded_squares_finite(tmp_path):
         warnings.simplefilter("error")
         kept = detect_candidates([read_grid(path)], 2, NmsParams())
     assert len(kept) == 1
-    write_grid(path, replace(grid, spec=GridSpec(dims=dims, stride=stride + 1)))
+    with pytest.raises(ValueError, match=r"^stride .* above 1e\+100"):
+        GridSpec(dims=dims, stride=stride + 1)
+    write_grid_with_stride(path, grid, stride + 1)
     with pytest.raises(ValueError, match=r"edge\.grid: stride .* above 1e\+100"):
         read_grid(path)
 

@@ -21,7 +21,7 @@ from spheredet import (
     top_n_candidates,
 )
 from spheredet.cli import main
-from helpers import FOUR_SCAN_EXPECTED, four_scan_fixture
+from helpers import FOUR_SCAN_EXPECTED, four_scan_fixture, write_grid_with_stride
 from spheredet import write_annotations, write_candidates, write_grid
 from spheredet.decode import PredictionGrid
 
@@ -394,6 +394,21 @@ def test_cli_wrongly_typed_config_value_fails_cleanly(tmp_path, capsys, raw):
     _assert_one_line_error(capsys, f"error: {config}: ")
 
 
+def test_cli_config_stride_beyond_the_world_bound_fails_cleanly(tmp_path, capsys):
+    # Cell centers near 2^520 would overflow when distance_map squares them.
+    annotations, _ = _write_assign_fixture(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"grid": {"dims": [1, 1, 2], "stride": 2**520}}))
+    out = tmp_path / "labels.json"
+    argv = ["assign", "--annotations", str(annotations), "--scan-id", "t1", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + ["--config", str(config), "--k", "1", "--n", "1"])
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, f"error: {config}: stride {2**520} could decode world values")
+    assert caught == []
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -733,7 +748,7 @@ def test_cli_froc_overflowing_coordinate_fails_cleanly(tmp_path, capsys):
 def test_cli_detect_stride_overflowing_world_values_fails_cleanly(tmp_path, capsys):
     # Decoded centers near 2^520 overflow when NMS squares their distances.
     grid = PredictionGrid(
-        spec=GridSpec(dims=(1, 1, 2), stride=2**520),
+        spec=GridSpec(dims=(1, 1, 2), stride=1),
         center_prob=np.full((1, 1, 2), 0.5),
         radius=np.ones((1, 1, 2)),
         offset=np.zeros((1, 1, 2, 3)),
@@ -741,7 +756,7 @@ def test_cli_detect_stride_overflowing_world_values_fails_cleanly(tmp_path, caps
         scan_id="s",
     )
     path = tmp_path / "huge.grid"
-    write_grid(path, grid)
+    write_grid_with_stride(path, grid, 2**520)
     out = tmp_path / "candidates.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
