@@ -29,7 +29,7 @@ from .gridio import (
 )
 from .gradsim import descend, gradient_curve
 from .losses import SphereLossKind
-from .matching import Label, assign_labels, ohem_refine, regression_targets
+from .matching import Label, assign_labels, ohem_refine
 from .synth import SyntheticSpec, generate_dataset
 
 _KIND_NAMES = ", ".join(kind.value for kind in SphereLossKind)
@@ -179,7 +179,6 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     by_scan = read_annotations(args.annotations)
     nodules = by_scan.get(args.scan_id, [])
     assignment = assign_labels(config.grid, nodules, config.k)
-    assignment = regression_targets(config.grid, assignment, nodules)
     positives = int(np.sum(assignment.labels == Label.POSITIVE))
     ignored_before = int(np.sum(assignment.labels == Label.IGNORED))
     if args.loss_map is not None:
@@ -235,9 +234,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     per_scan_meta = {}
     for scan_id in sorted(by_scan):
         stats = DecodeStats()
-        grids = [read_grid(path) for path in by_scan[scan_id].values()]
+        grids = (read_grid(path) for path in by_scan[scan_id].values())
         kept = detect_candidates(grids, top_n=config.top_n, params=config.nms, stats=stats)
-        del grids  # free this scan's grids before the next scan's are read
         rows += [(scan_id, candidate) for candidate in kept]
         per_scan_meta[scan_id] = {
             "kept": len(kept),
@@ -366,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,12 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
 from .decode import NmsParams
-from .matching import GridSpec
+from .matching import GridSpec, _integer
 
 
 @dataclass(frozen=True)
@@ -30,70 +29,32 @@ class HarnessConfig:
     grid: GridSpec = field(default_factory=lambda: GridSpec(dims=(24, 24, 24), stride=4))
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name, low in (("k", 1), ("n", 1), ("top_n", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
+
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON rendering, used for run-metadata echo."""
         return json.loads(json.dumps(dataclasses.asdict(self)))  # tuples become lists
 
 
-def _number(value: Any, origin: str, name: str) -> float:
-    """``float(value)``, or a ValueError naming the origin and the key."""
-    if not isinstance(value, bool):  # JSON true/false are not numbers
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{origin}: {name} must be a number, got {value!r}")
-
-
-def _integer(value: Any, origin: str, name: str, low: int = 1) -> int:
-    """``value`` as an int >= ``low`` when it has no fractional part, else a ValueError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        number = int(value)
-    else:
-        number = _number(value, origin, name)
-        if not number.is_integer():
-            raise ValueError(f"{origin}: {name} must be an integer, got {value!r}")
-    if number < low:
-        raise ValueError(f"{origin}: {name} must be >= {low}, got {int(number)}")
-    return int(number)
-
-
-def _dims(value: Any, origin: str, name: str) -> tuple:
-    """Three integers from a list, else a ValueError naming the origin and the key."""
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ValueError(f"{origin}: {name} must have 3 entries")
-    return tuple(_integer(v, origin, name) for v in value)
-
-
-# Every config key and its reader; a nested table reads an object of sub-keys.
-_KEYS: Dict[str, Any] = {
-    "k": _integer,
-    "n": _integer,
-    "top_n": _integer,
-    "nms": {"tau_siou": _number, "tau_dr": _number},
-    "grid": {"dims": _dims, "stride": _integer},
-    "seed": partial(_integer, low=0),
-}
-
-
-def _build(
-    base: Any, overrides: Mapping[str, Any], origin: str, keys: Mapping = _KEYS, scope: str = ""
-) -> Any:
-    """``base`` with each override read by its entry in ``keys`` (``scope``: "nms " or "grid ")."""
+def _build(base: Any, overrides: Mapping[str, Any], origin: str, scope: str = "") -> Any:
+    """``base`` with the overrides applied, each checked by the dataclass that
+    holds it; errors start with ``origin`` (``scope``: "nms " or "grid ")."""
+    fields = {f.name for f in dataclasses.fields(base)}
     changes: Dict[str, Any] = {}
     for key, value in overrides.items():
-        if key not in keys:
+        if key not in fields:
             raise ValueError(f"{origin}: unknown {scope or 'config '}key {key!r}")
-        reader = keys[key]
-        if isinstance(reader, dict):
+        current = getattr(base, key)
+        if dataclasses.is_dataclass(current):
             if not isinstance(value, Mapping):
                 raise ValueError(f"{origin}: {key!r} must be an object")
-            changes[key] = _build(getattr(base, key), value, origin, reader, f"{key} ")
-        else:
-            changes[key] = reader(value, origin, f"{scope}{key}")
+            value = _build(current, value, origin, f"{key} ")
+        changes[key] = value
     try:
         return dataclasses.replace(base, **changes) if changes else base
-    except ValueError as exc:  # NmsParams and GridSpec range checks
+    except ValueError as exc:
         raise ValueError(f"{origin}: {exc}") from None
 
 

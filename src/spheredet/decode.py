@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import math
 from numbers import Real
@@ -98,10 +98,13 @@ class NmsParams:
     tau_dr: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.tau_siou, Real) and 0.0 <= self.tau_siou <= 1.0):
-            raise ValueError(f"tau_siou must lie in [0, 1], got {self.tau_siou!r}")
-        if not (isinstance(self.tau_dr, Real) and 0.0 <= self.tau_dr < 1.0):
-            raise ValueError(f"tau_dr must lie in [0, 1), got {self.tau_dr!r}")
+        siou, dr = self.tau_siou, self.tau_dr
+        if isinstance(siou, bool) or not (isinstance(siou, Real) and 0.0 <= siou <= 1.0):
+            raise ValueError(f"tau_siou must lie in [0, 1], got {siou!r}")
+        if isinstance(dr, bool) or not (isinstance(dr, Real) and 0.0 <= dr < 1.0):
+            raise ValueError(f"tau_dr must lie in [0, 1), got {dr!r}")
+        object.__setattr__(self, "tau_siou", float(siou))  # a config file's 0 echoes as 0.0
+        object.__setattr__(self, "tau_dr", float(dr))
 
 
 @dataclass
@@ -215,13 +218,16 @@ def nms_siou(candidates: Sequence[Candidate], params: NmsParams) -> List[Candida
 
 
 def detect_candidates(
-    grids: Sequence[PredictionGrid],
+    grids: Iterable[PredictionGrid],
     top_n: int,
     params: NmsParams,
     stats: Optional[DecodeStats] = None,
 ) -> List[Candidate]:
-    """Full per-scan pipeline: per-grid top-n, merge across levels, NMS."""
-    per_level = [top_n_candidates(g, top_n, stats) for g in grids]
+    """Full per-scan pipeline: per-grid top-n, merge across levels, NMS.
+
+    No grid is held once decoded, so a generator of grids keeps one in memory
+    at a time."""
+    per_level = list(map(lambda grid: top_n_candidates(grid, top_n, stats), grids))
     if not per_level:
         return []
     merged = reduce(merge_levels, per_level)

@@ -7,8 +7,8 @@ the union volume, and the sphere-IoU follow in closed form.  Three mutually
 exclusive regimes partition every configuration:
 
 * ``disjoint``:     d >= r_a + r_b, compared exactly (tangency counts as disjoint)
-* ``contained``:    d + min(r) <= max(r)  (one sphere inside the other;
-  the lens is the smaller sphere)
+* ``contained``:    d + min(r) <= max(r), compared exactly (one sphere inside
+  the other, internal tangency included; the lens is the smaller sphere)
 * ``intersecting``: everything else (a proper two-cap lens)
 
 All functions are pure and operate on scalars; the sampling-based volume
@@ -104,7 +104,7 @@ def _gap(a: float, b: float, c: float) -> float:
 def _classify(r_a: float, r_b: float, d: float) -> Regime:
     if _gap(r_a, r_b, d) <= 0.0:
         return Regime.DISJOINT
-    if d + min(r_a, r_b) <= max(r_a, r_b):
+    if _gap(d, min(r_a, r_b), max(r_a, r_b)) <= 0.0:
         return Regime.CONTAINED
     return Regime.INTERSECTING
 

@@ -14,7 +14,7 @@ no scan id.  The payload stays float32 in memory: ``read_grid`` returns views
 of one float32 buffer, and ``PredictionGrid`` takes float32 or float64 maps,
 which decode alike because widening float32 is exact and keeps order.  The
 ``detect`` command reads every header first (``read_grid_header``), then
-holds one scan's grids at a time.
+holds one grid at a time.
 
 All writers are atomic (temp file + rename) and byte-deterministic for
 identical inputs.
@@ -33,7 +33,7 @@ import numpy as np
 from .decode import Candidate, PredictionGrid
 from .froc import FrocCurve
 from .geometry import Sphere
-from .matching import _WORLD_LIMIT, GridSpec, NoduleAnnotation
+from .matching import _WORLD_LIMIT, GridSpec, NoduleAnnotation, _integer
 
 GRID_MAGIC = b"SCPMGRID1"
 
@@ -97,7 +97,7 @@ def _parse_grid_header(handle: BinaryIO, path: Path) -> GridHeader:
         raise ValueError(f"{path}: missing header line")
     try:
         header = json.loads(line[:-1].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, malformed, too deep or long
         raise ValueError(f"{path}: malformed header JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header is not a JSON object")
@@ -106,19 +106,10 @@ def _parse_grid_header(handle: BinaryIO, path: Path) -> GridHeader:
             raise ValueError(f"{path}: header missing {key!r}")
     if header["dtype"] != "f32le":
         raise ValueError(f"{path}: unsupported dtype {header['dtype']!r}")
-    dims = header["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or not all(type(v) is int and v >= 1 for v in dims)  # a JSON true is no count
-    ):
-        raise ValueError(f"{path}: bad dims {dims!r}")
-    level = header["level"]
-    if type(level) is not int:
-        raise ValueError(f"{path}: bad level {level!r}")
-    try:
-        spec = GridSpec(dims=tuple(dims), stride=header["stride"])
-    except ValueError as exc:  # including the world bound on the stride
+    try:  # GridSpec checks dims and stride, including the stride's world bound
+        spec = GridSpec(dims=header["dims"], stride=header["stride"])
+        level = _integer(header["level"], "level", low=None)
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     scan_id = str(header.get("scan_id") or path.stem)
     if "," in scan_id or scan_id.splitlines() != [scan_id]:  # would break the CSVs

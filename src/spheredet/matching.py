@@ -27,25 +27,27 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Point3
 
 
-def _is_count(value) -> bool:
-    """True for a finite real number >= 1 with no fractional part (not a bool)."""
+def _integer(value, name: str, low: Optional[int] = 1) -> int:
+    """``value`` as an int: a real number (not a bool) with no fractional part
+    and, unless ``low`` is None, at least ``low``; else a ValueError."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        return (
-            isinstance(value, numbers.Real)
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-            and value >= 1
-            and int(value) == value
-        )
+        integral = math.isfinite(value) and int(value) == value
     except OverflowError:  # an int too large for a float
-        return False
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {int(value)}")
+    return int(value)
 
 
 # The largest world coordinate or radius accepted: sums of a few such values,
@@ -67,12 +69,10 @@ class GridSpec:
     stride: int
 
     def __post_init__(self) -> None:
-        if len(self.dims) != 3 or not all(_is_count(d) for d in self.dims):
-            raise ValueError(f"grid dims must be 3 positive integers, got {self.dims!r}")
-        if not _is_count(self.stride):
-            raise ValueError(f"grid stride must be a positive integer, got {self.stride!r}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "stride", int(self.stride))
+        if not isinstance(self.dims, (list, tuple)) or len(self.dims) != 3:
+            raise ValueError(f"grid dims must have 3 entries, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(_integer(d, "grid dims") for d in self.dims))
+        object.__setattr__(self, "stride", _integer(self.stride, "grid stride"))
         # Decoded centers (i + 0.5 + v) * stride and radii r * stride, v and r any float32.
         if self.stride > _WORLD_LIMIT / (max(self.dims) + 0.5 + _FLOAT32_MAX):
             raise ValueError(

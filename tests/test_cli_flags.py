@@ -2,14 +2,17 @@
 
 An override flag is any option of a subcommand's "configuration" group other
 than ``--config``; it sets one ``HarnessConfig`` field, and the command's
-``_cmd_*`` handler must read that field as ``config.<field>``.
+``_cmd_*`` handler must read that field as ``config.<field>``.  README's
+config key table names every field.
 """
 
 import argparse
 import ast
 import dataclasses
 import inspect
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +74,19 @@ def test_every_override_flag_is_read_by_its_command(name):
 def test_configuration_options_per_command(name, options):
     flags = [action.option_strings[0] for action in configuration_options(COMMANDS[name])]
     assert flags == ["--config"] + options
+
+
+def test_readme_key_table_names_every_config_field():
+    # The dataclasses are the config schema; README's key table is the only
+    # other list of keys, so it must name exactly their (dotted) fields.
+    fields, config = [], HarnessConfig()
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            fields += [f"{f.name}.{sub.name}" for sub in dataclasses.fields(value)]
+        else:
+            fields.append(f.name)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | flag | read by |\n| --- | --- | --- |\n")[1].split("\n\n")[0]
+    keys = [key for row in table.splitlines() for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(fields)

@@ -76,6 +76,7 @@ def test_pruned_nms_keeps_pairs_at_the_reach_bound():
         {"tau_dr": -0.5},
         {"tau_dr": float("inf")},
         {"tau_dr": "0.5"},
+        {"tau_siou": True},
     ],
 )
 def test_nms_params_reject_out_of_range_thresholds(kwargs):

@@ -17,8 +17,9 @@ The geometry computes each gap of the lens (r_a + r_b - d near tangency,
 r_a + r_b is magnified by 1 / gap; with u = 2^-53, the errors measured on
 these pairs stay below 10 u for SIoU and 13 u for its partials in every bin.
 The bounds are 20 u, except 200 u for the partials near containment.  The
-regime test (disjoint iff d >= r_a + r_b) is exact as well: pairs within a
-few ulps of tangency get the regime an exact comparison gives.
+regime tests (disjoint iff d >= r_a + r_b, contained iff d + min(r) <= max(r))
+are exact as well: pairs within a few ulps of either tangency get the regime
+an exact comparison gives.
 """
 
 import math
@@ -116,5 +117,24 @@ def test_regime_at_external_tangency_matches_exact_comparison():
             apart = Fraction(d) > Fraction(r_a) + Fraction(r_b)
             assert (_angle_score(r_a, r_b, d) == 0.0) == apart, (r_a, r_b, d)
             flipped += disjoint != (d >= r_a + r_b)
+            d = float(np.nextafter(d, math.inf))
+    assert flipped > 0  # the rounded sum would get some of these wrong
+
+
+def test_regime_at_internal_tangency_matches_exact_comparison():
+    # d within 3 ulps of the rounded |r_a - r_b|: the exact d + min(r) <= max(r)
+    # decides whether the smaller sphere is contained, not its rounding.
+    rng = np.random.default_rng(2025)
+    flipped = 0
+    for r_a, r_b in rng.uniform(0.2, 5.0, size=(3000, 2)).tolist():
+        small, large = min(r_a, r_b), max(r_a, r_b)
+        d = large - small
+        for _ in range(3):
+            d = float(np.nextafter(d, 0.0))
+        for _ in range(7):
+            contained = Fraction(d) + Fraction(small) <= Fraction(large)
+            expected = Regime.CONTAINED if contained else Regime.INTERSECTING
+            assert _classify(r_a, r_b, d) is expected, (r_a, r_b, d)
+            flipped += contained != (d + small <= large)
             d = float(np.nextafter(d, math.inf))
     assert flipped > 0  # the rounded sum would get some of these wrong

@@ -101,6 +101,7 @@ def _grid_file(header: bytes) -> bytes:
 @example(data=_grid_file(b'{"dims":[1,1,1],"stride":1%s,"level":0,"dtype":"f32le"}' % (b"0" * 400)))
 @example(data=_grid_file(b'{"dims":[1,1,1%s],"stride":4,"level":0,"dtype":"f32le"}' % (b"0" * 400)))
 @example(data=_grid_file(b"[" * 100_000))
+@example(data=_grid_file(b'{"dims":[1,1,1],"stride":4,"level":%s,"dtype":"f32le"}' % (b"1" * 5000)))
 @example(data=_grid_file(b'{"dims":[1,1,1],"stride":4,"level":0,"dtype":"f32le","scan_id":"a,b"}'))
 @example(data=_grid_file(b'{"dims":[1,1,1],"stride":4,"level":0,"dtype":"f32le","scan_id":"a\\nb"}'))
 @example(data=_grid_file(b'{"dims":[1,1,1],"stride":4,"level":0,"dtype":"f32le","scan_id":"a\\rb"}'))

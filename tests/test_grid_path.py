@@ -1,6 +1,7 @@
 """The float32 grid path: validation of float32 maps, byte-identical detect
-output after a container round trip, and one scan's grids in memory at a time."""
+output after a container round trip, and one grid in memory at a time."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_detect_bytes_equal_for_float64_grids_and_their_round_trip(tmp_path, mon
     assert from_files == in_memory
 
 
-def test_detect_holds_one_scans_grids_at_a_time(tmp_path, monkeypatch):
+def test_detect_holds_one_grid_at_a_time(tmp_path, monkeypatch):
     paths = list(_write_scans(tmp_path, 4))
     grouped = sorted(paths, key=lambda p: p.name)
     expected = _detect(grouped, tmp_path / "grouped.csv")
@@ -136,8 +137,29 @@ def test_detect_holds_one_scans_grids_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "read_grid", counting_read_grid)
     assert _detect(paths, tmp_path / "interleaved.csv") == expected
-    assert peak[0] == 2
+    assert peak[0] == 1
     assert sorted(calls) == sorted(paths)  # each grid read once
+
+
+def test_detect_peak_memory_stays_below_one_and_a_half_grids(tmp_path):
+    # Two 64^3 levels of one scan: holding both grids, or one grid while the
+    # next is read, would take at least two payloads.
+    dims = (64, 64, 64)
+    rng = np.random.default_rng(5)
+    paths = []
+    for level in range(2):
+        prob, radius, offset = _maps(dims, np.float32, rng)
+        paths.append(tmp_path / f"level{level}.grid")
+        write_grid(paths[-1], PredictionGrid(GridSpec(dims, 4), prob, radius, offset, level, "s"))
+    del prob, radius, offset
+    payload = 5 * 64**3 * 4
+    tracemalloc.start()
+    try:
+        _detect(paths, tmp_path / "candidates.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * payload, peak / payload
 
 
 def test_detect_short_payload_in_last_scan_fails_cleanly(tmp_path, capsys):

@@ -191,6 +191,10 @@ def test_grid_rejects_bad_dims(tmp_path):
         (b'{"dims":[1,1,1],"stride":[4],"level":0,"dtype":"f32le"}', "stride"),
         (b'{"dims":[1,1,1],"stride":0.5,"level":0,"dtype":"f32le"}', "stride"),
         (b'{"dims":[1,1,1],"stride":4,"level":1.5,"dtype":"f32le"}', "level"),
+        (b'{"dims":[1,1,1],"stride":"4","level":0,"dtype":"f32le"}', "stride must be a number"),
+        (b'{"dims":[1,1,1],"stride":4,"level":"0","dtype":"f32le"}', "level must be a number"),
+        (b'{"dims":["1",1,1],"stride":4,"level":0,"dtype":"f32le"}', "dims must be a number"),
+        (b'{"dims":"111","stride":4,"level":0,"dtype":"f32le"}', "dims must have 3 entries"),
     ],
 )
 def test_grid_rejects_wrongly_typed_header(tmp_path, header, message):
@@ -198,6 +202,16 @@ def test_grid_rejects_wrongly_typed_header(tmp_path, header, message):
     path.write_bytes(b"SCPMGRID1\n" + header + b"\n" + b"\0" * 20)
     with pytest.raises(ValueError, match=f"typed.grid: .*{message}"):
         read_grid(path)
+
+
+def test_grid_header_takes_integral_floats(tmp_path):
+    # The same integer rule as a config file: 2.0 is the integer 2.
+    path = tmp_path / "floats.grid"
+    header = b'{"dims":[1.0,1,2],"stride":4.0,"level":-1.0,"dtype":"f32le"}'
+    path.write_bytes(b"SCPMGRID1\n" + header + b"\n" + bytes(5 * 2 * 4))
+    grid = read_grid(path)
+    assert (grid.spec, grid.level) == (GridSpec(dims=(1, 1, 2), stride=4), -1)
+    assert type(grid.level) is int and all(type(d) is int for d in grid.spec.dims)
 
 
 def test_grid_stride_bound_keeps_decoded_squares_finite(tmp_path):

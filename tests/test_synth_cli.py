@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -375,6 +376,11 @@ def _assert_one_line_error(capsys, prefix):
         {"grid": {"stride": "x"}},
         {"grid": {"stride": float("inf")}},
         {"grid": {"dims": [6, [6], 6]}},
+        {"k": "7"},
+        {"grid": {"dims": ["6", 6, 6]}},
+        {"grid": {"dims": "666"}},
+        {"grid": {"stride": "2"}},
+        {"nms": {"tau_siou": "0.1"}},
     ],
 )
 def test_cli_wrongly_typed_config_value_fails_cleanly(tmp_path, capsys, raw):
@@ -436,6 +442,44 @@ def test_cli_out_of_range_config_value_fails_cleanly(tmp_path, capsys, raw):
     )
     assert rc == 2
     _assert_one_line_error(capsys, f"error: {config}: ")
+
+
+def test_cli_config_grid_too_large_to_allocate_fails_cleanly(tmp_path, capsys):
+    # 2^61 one-byte labels: far beyond any address space, so the allocation
+    # is refused at once and no memory is touched.
+    annotations, _ = _write_assign_fixture(tmp_path)
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"grid": {"dims": [1048576, 1048576, 2097152], "stride": 1}}))
+    rc, out = _run_assign(tmp_path, annotations, "--config", str(config))
+    assert rc == 2 and not out.exists()
+    _assert_one_line_error(capsys, "error: ")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"k": 0}, "k must be >= 1, got 0"),
+        ({"n": -3.0}, "n must be >= 1, got -3"),
+        ({"top_n": 2.5}, "top_n must be an integer, got 2.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"k": "x"}, "k must be a number, got 'x'"),
+        ({"k": True}, "k must be a number, got True"),
+        ({"seed": float("nan")}, "seed must be an integer, got nan"),
+    ],
+)
+def test_harness_config_checks_its_own_values(kwargs, message):
+    from spheredet import HarnessConfig
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HarnessConfig(**kwargs)
+
+
+def test_harness_config_stores_integer_settings_as_ints():
+    from spheredet import HarnessConfig
+
+    config = HarnessConfig(k=np.int64(3), n=4.0, top_n=np.float32(5.0), seed=0.0)
+    assert (config.k, config.n, config.top_n, config.seed) == (3, 4, 5, 0)
+    assert {type(v) for v in (config.k, config.n, config.top_n, config.seed)} == {int}
 
 
 def test_config_accepts_integral_floats_for_integer_keys(tmp_path):
