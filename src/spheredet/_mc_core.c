@@ -9,17 +9,25 @@
  *
  * The kernel steps PCG64 itself instead of calling next_uint64 once per
  * sample.  Under the generator's lock it reads (state, inc) from
- * bit_generator.state, then runs LANES interleaved lanes of the one stream:
- * lane k starts k + 1 steps ahead and every lane moves LANES steps at a time,
+ * bit_generator.state and cuts the call's samples into contiguous shares,
+ * one per CPU the process may run on (counted on every call), none smaller
+ * than MIN_SHARE.  Share k starts at its first stream position, s * M^b + C_b
+ * for the share's begin b, where M^b and C_b come from Brown's O(log n) LCG
+ * jump-ahead ("Random Number Generation with Arbitrary Strides", 1994), as
+ * in PCG64.advance.  The calling thread counts share 0 and a pthread counts
+ * each other share; a share whose thread cannot be started is counted on the
+ * calling thread afterwards.  The hits are an integer sum over the same
+ * stream positions, so the count does not depend on how many shares ran.
+ *
+ * Within a share, LANES interleaved lanes step the stream: lane k starts
+ * k + 1 steps ahead and every lane moves LANES steps at a time,
  * s' = s * M^4 + C_4, so the four 128-bit multiply chains overlap and the
  * outputs still come out in stream order.  The lanes fill a block of BLOCK
  * raw draws; a separate pass then counts the block's hits, in an AVX2 clone
  * where the toolchain can pick one at load time.  Finally the state n steps
  * ahead, s * M^n + C_n, goes back through the state setter, which keeps
  * has_uint32 and uinteger as random_raw does (PCG64.advance would clear
- * has_uint32).  M^n and C_n come from Brown's O(log n) LCG jump-ahead
- * ("Random Number Generation with Arbitrary Strides", 1994), as in
- * PCG64.advance.
+ * has_uint32).
  *
  * The stepping needs 128-bit integers.  A compiler without them stops here;
  * setup.py then builds the package without this module, and the NumPy
@@ -27,7 +35,10 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
+#include <unistd.h>
 
 #ifndef __SIZEOF_INT128__
 #error "the sampling kernel needs a compiler with 128-bit integers"
@@ -39,6 +50,8 @@ typedef __uint128_t u128;
 #define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
 #define LANES 4
 #define BLOCK 1024 /* raw draws per block, a multiple of LANES */
+#define MIN_SHARE ((Py_ssize_t)1 << 20) /* fewest samples worth a thread */
+#define MAX_SHARES 64
 
 /* Multiple target versions need ifunc, which GCC and Clang offer on x86-64 ELF. */
 #if defined(__GNUC__) && defined(__x86_64__) && defined(__ELF__)
@@ -113,6 +126,73 @@ static Py_ssize_t sample_hits(u128 state, u128 inc, Py_ssize_t samples, double r
     return hits;
 }
 
+/* One contiguous share of a call's samples and the hits counted in it. */
+struct share {
+    u128 state, inc;
+    Py_ssize_t samples, hits;
+    double r_a, r_b, d, x_lo, x_hi, rho;
+};
+
+static void *count_share(void *arg)
+{
+    struct share *sh = arg;
+    sh->hits = sample_hits(sh->state, sh->inc, sh->samples, sh->r_a, sh->r_b, sh->d,
+                           sh->x_lo, sh->x_hi, sh->rho);
+    return NULL;
+}
+
+/* The number of CPUs this process may run on, at least 1. */
+static Py_ssize_t usable_cpus(void)
+{
+    long n = 0;
+#if defined(__linux__) && defined(CPU_COUNT)
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        n = CPU_COUNT(&set);
+#endif
+#ifdef _SC_NPROCESSORS_ONLN
+    if (n < 1)
+        n = sysconf(_SC_NPROCESSORS_ONLN);
+#endif
+    return n > 0 ? n : 1;
+}
+
+/* sample_hits over `samples` draws from state s, split into shares. */
+static Py_ssize_t sharded_hits(u128 s, u128 inc, Py_ssize_t samples, double r_a,
+                               double r_b, double d, double x_lo, double x_hi, double rho)
+{
+    struct share shares[MAX_SHARES];
+    pthread_t threads[MAX_SHARES];
+    int started[MAX_SHARES];
+    Py_ssize_t n = samples / MIN_SHARE, cpus = usable_cpus(), hits, k;
+    u128 mult, plus;
+
+    if (n > cpus)
+        n = cpus;
+    if (n > MAX_SHARES)
+        n = MAX_SHARES;
+    if (n < 1)
+        n = 1;
+    for (k = 0; k < n; k++) {
+        Py_ssize_t begin = (Py_ssize_t)((u128)samples * k / n);
+        Py_ssize_t end = (Py_ssize_t)((u128)samples * (k + 1) / n);
+        lcg_jump((uint64_t)begin, inc, &mult, &plus);
+        shares[k] = (struct share){s * mult + plus, inc, end - begin, 0,
+                                   r_a, r_b, d, x_lo, x_hi, rho};
+        started[k] = k > 0 && pthread_create(&threads[k], NULL, count_share, &shares[k]) == 0;
+    }
+    count_share(&shares[0]);
+    hits = shares[0].hits;
+    for (k = 1; k < n; k++) {
+        if (started[k])
+            pthread_join(threads[k], NULL);
+        else
+            count_share(&shares[k]);
+        hits += shares[k].hits;
+    }
+    return hits;
+}
+
 /* The Python int v as a u128; v is a PCG64 state word, in [0, 2^128). */
 static int as_u128(PyObject *v, u128 *out)
 {
@@ -183,7 +263,7 @@ static PyObject *count_hits(PyObject *self, PyObject *args, PyObject *kwargs)
     state = PyObject_GetAttrString(bit_generator, "state");
     if (state != NULL && read_pcg64(state, &words, &s, &inc) == 0 && samples > 0) {
         Py_BEGIN_ALLOW_THREADS
-        hits = sample_hits(s, inc, samples, r_a, r_b, d, x_lo, x_hi, rho);
+        hits = sharded_hits(s, inc, samples, r_a, r_b, d, x_lo, x_hi, rho);
         Py_END_ALLOW_THREADS
         lcg_jump((uint64_t)samples, inc, &mult, &plus);
         if ((next = from_u128(s * mult + plus)) != NULL &&
@@ -214,7 +294,12 @@ static PyMethodDef methods[] = {
      "one raw PCG64 output: its high 32 bits give x and its low 32 bits the\n"
      "squared radial distance.  bit_generator must be a PCG64 (ValueError\n"
      "otherwise); it ends `samples` steps ahead, as after random_raw(samples),\n"
-     "and the count matches spheredet._mc_python bit for bit."},
+     "and the count matches spheredet._mc_python bit for bit.\n\n"
+     "The samples are cut into contiguous shares, one per usable CPU and none\n"
+     "smaller than 2^20; each share starts at its own stream position by\n"
+     "jump-ahead and runs on its own thread (on the calling thread if one\n"
+     "cannot be started).  The count and the final state do not depend on\n"
+     "the number of shares."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -32,6 +32,10 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         for name, low in (("k", 1), ("n", 1), ("top_n", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
+        for name, kind, article in (("nms", NmsParams, "an"), ("grid", GridSpec, "a")):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON rendering, used for run-metadata echo."""

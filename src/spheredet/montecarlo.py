@@ -16,13 +16,16 @@ Backends: the compiled kernel ``spheredet._mc_core`` when it has been built
 ``_mc_core.c``; it needs a C compiler with 128-bit integers) and its
 ``SAMPLER`` tag matches the fallback's, otherwise the pure-numpy fallback
 ``spheredet._mc_python``.  The kernel steps PCG64 itself: it reads the
-generator's state under its lock, runs four interleaved lanes of the one
-stream (each lane jumps four steps at a time), fills blocks of 1024 raw
-draws and counts each block's hits in a separate vectorisable pass, then
-writes back the state ``samples`` steps ahead.  So both backends consume the
-identical stream, return bit-identical counts and leave the generator where
-``random_raw(samples)`` does; set ``SPHEREDET_FORCE_PYTHON=1`` to force the
-fallback.  ``backend_name()`` reports which one is in use.
+generator's state under its lock and cuts the samples into contiguous
+shares, one per usable CPU and none smaller than 2^20, each started at its
+own stream position by jump-ahead and run on its own thread.  Within a
+share, four interleaved lanes of the stream (each lane jumps four steps at a
+time) fill blocks of 1024 raw draws, and a separate vectorisable pass counts
+each block's hits.  The shares' hits are summed and the state ``samples``
+steps ahead is written back.  So both backends consume the identical stream,
+return bit-identical counts, whatever the CPU count, and leave the generator
+where ``random_raw(samples)`` does; set ``SPHEREDET_FORCE_PYTHON=1`` to force
+the fallback.  ``backend_name()`` reports which one is in use.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""Test-session plumbing: the hypothesis profile, the sampling backend in the
-report header and the acceptance-criteria summary block."""
+"""Test-session plumbing: the hypothesis profile, the sampling backend and CPU
+count in the report header and the acceptance-criteria summary block."""
 
 from __future__ import annotations
 
+import os
 import re
 
 from hypothesis import settings
@@ -18,11 +19,16 @@ settings.load_profile("spheredet")
 def _backend_line() -> str:
     from spheredet.montecarlo import backend_name
 
-    return f"sampling backend: {backend_name()}"
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    return f"sampling backend: {backend_name()}, {cpus} CPUs"
 
 
 def pytest_report_header(config):
-    """Names the Monte-Carlo backend, which sets how long C1 takes."""
+    """Names the Monte-Carlo backend and the usable CPUs, which set how long
+    C1 takes."""
     return _backend_line()
 
 

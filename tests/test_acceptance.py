@@ -5,7 +5,7 @@ the terminal summary prints a PASS/FAIL line per criterion (see conftest).
 Everything uses fixed seeds, so a green run is reproducible bit for bit.
 The volume-oracle test sweeps 10^10 Monte-Carlo samples and dominates the
 suite's runtime; it needs the compiled sampling backend to stay inside its
-five-minute budget.
+five-minute budget, in wall time and in CPU time summed over the threads.
 """
 
 import json
@@ -55,9 +55,11 @@ from helpers import (
 
 def test_c1_sphere_volume_oracle():
     """1000 random pairs: closed form vs 10^7-sample Monte Carlo, 5e-3
-    relative, inside a five-minute single-threaded budget."""
+    relative, inside five minutes of wall time and five minutes of process
+    CPU time: the compiled kernel spreads each estimate over the usable CPUs,
+    so the CPU-time bound keeps the budget of one CPU."""
     rng = np.random.default_rng(20_001)
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
     worst = 0.0
     for index in range(1000):
         r_a, r_b = (float(r) for r in rng.uniform(0.5, 10.0, size=2))
@@ -77,7 +79,9 @@ def test_c1_sphere_volume_oracle():
                 f"pair {index}: exact {exact!r} vs estimate {estimate!r} (rel {rel:g})"
             )
     elapsed = time.perf_counter() - started
+    cpu = time.process_time() - cpu_started
     assert elapsed <= 300.0, f"volume oracle took {elapsed:.1f}s (budget 300s)"
+    assert cpu <= 300.0, f"volume oracle used {cpu:.1f}s of CPU (budget 300s)"
     assert worst > 0.0  # the sweep exercised overlapping pairs
 
 

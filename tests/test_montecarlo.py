@@ -2,10 +2,14 @@
 
 import datetime
 import importlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,8 @@ def test_rejects_bad_sample_count():
 
 # Raw draws per block of the compiled kernel (BLOCK in _mc_core.c).
 _BLOCK = 1024
+# Fewest samples per share of one compiled call (MIN_SHARE in _mc_core.c).
+_SHARE = 1 << 20
 # A fixed 128-bit jump, drawn once at random.
 _JUMP = 0xA5E1_7C39_0D4B_F2E8_6613_9B07_C4AD_5F21
 
@@ -111,17 +117,20 @@ def _holding_a_uint32():
     [
         pytest.param(n, _fresh, id=str(n))
         for n in [-1, 0, *range(1, 10), _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                  (1 << 20) - 1, 1 << 20, (1 << 20) + 1]
+                  _SHARE - 1, _SHARE, _SHARE + 1,
+                  2 * _SHARE - 1, 2 * _SHARE, 2 * _SHARE + 1, 5 * _SHARE + 3]
     ]
     + [
         pytest.param(_BLOCK + 3, _jumped, id="jumped"),
         pytest.param(_BLOCK + 3, _holding_a_uint32, id="has_uint32"),
+        pytest.param(2 * _SHARE + 3, _jumped, id="jumped-sharded"),
+        pytest.param(2 * _SHARE + 3, _holding_a_uint32, id="has_uint32-sharded"),
     ],
 )
 def test_backends_count_identically(n, make):
-    # The counts straddle the compiled kernel's lane groups and blocks and the
-    # fallback's 2^20-sample chunks; both must leave the generator where
-    # random_raw(n) does.
+    # The counts straddle the compiled kernel's lane groups, blocks and shares
+    # (uneven ones at 5 * 2^20 + 3) and the fallback's 2^20-sample chunks;
+    # both must leave the generator where random_raw(n) does.
     compiled = pytest.importorskip("spheredet._mc_core")
     for r_a, r_b, d in PAIRS:
         box = _lens_box(r_a, r_b, d)
@@ -139,6 +148,37 @@ def test_backends_count_identically(n, make):
         assert generator_compiled.state == generator_python.state
         if n <= 0:
             assert generator_compiled.state == before
+
+
+_PINNED_CHILD = """
+import json, os, sys
+import numpy as np
+from spheredet import _mc_core
+os.sched_setaffinity(0, {int(sys.argv[1])})
+assert len(os.sched_getaffinity(0)) == 1
+generator = np.random.PCG64(2024)
+hits = _mc_core.count_hits(generator, *json.loads(sys.argv[2]))
+print(json.dumps([hits, generator.state]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_compiled_count_does_not_depend_on_the_cpu_count():
+    # A child process pinned to one CPU counts in a single share; this
+    # process counts in one share per CPU it may use.
+    compiled = pytest.importorskip("spheredet._mc_core")
+    args = [4 * _SHARE + 5, 1.0, 3.0, 2.5, *_lens_box(1.0, 3.0, 2.5)]
+    generator = np.random.PCG64(2024)
+    hits = compiled.count_hits(generator, *args)
+    source_root = str(Path(spheredet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _PINNED_CHILD, str(min(os.sched_getaffinity(0))),
+         json.dumps(args)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(child.stdout) == [hits, generator.state]
 
 
 def _reference_count(seed, n, r_a, r_b, d, x_lo, x_hi, rho):

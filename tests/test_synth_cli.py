@@ -465,6 +465,8 @@ def test_cli_config_grid_too_large_to_allocate_fails_cleanly(tmp_path, capsys):
         ({"k": "x"}, "k must be a number, got 'x'"),
         ({"k": True}, "k must be a number, got True"),
         ({"seed": float("nan")}, "seed must be an integer, got nan"),
+        ({"nms": {"tau_dr": 0.4}}, "nms must be an NmsParams, got {'tau_dr': 0.4}"),
+        ({"grid": (6, 6, 6)}, "grid must be a GridSpec, got (6, 6, 6)"),
     ],
 )
 def test_harness_config_checks_its_own_values(kwargs, message):
