@@ -1,27 +1,30 @@
 """Pure-numpy fallback for the Monte-Carlo sampling kernel.
 
-Consumes the BitGenerator stream through ``random_raw``, one 64-bit output
-per sample: the high 32 bits give the axial position and the low 32 bits
-the squared radial distance, as in the compiled kernel, which steps PCG64
-itself through the same stream.  Every step evaluates the kernel's float
-expressions in the kernel's order, in buffers allocated once per call, so
-hit counts from the two backends are bit-identical.
+Consumes the PCG64 stream at the position (state, inc) through
+``random_raw``, one 64-bit output per sample: the high 32 bits give the axial
+position and the low 32 bits the squared radial distance, as in the compiled
+kernel, which steps PCG64 itself through the same stream.  Every step
+evaluates the kernel's float expressions in the kernel's order, in buffers
+allocated once per call, so hit counts from the two backends are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# The stream-to-sample mapping; the compiled kernel is used only when its
-# SAMPLER constant equals this one.
-SAMPLER = 2
+# The stream-to-sample mapping and calling convention; the compiled kernel is
+# used only when its SAMPLER constant equals this one.
+SAMPLER = 3
 
-_CHUNK = 1 << 20
+# Samples per random_raw pass: about 2.75 MB of buffers per concurrent call.
+_CHUNK = 1 << 16
 _SCALE = 2.0**-32
 
 
 def count_hits(
-    bit_generator,
+    state: int,
+    inc: int,
     samples: int,
     r_a: float,
     r_b: float,
@@ -31,6 +34,13 @@ def count_hits(
     rho: float,
 ) -> int:
     """Counts samples landing inside both spheres (see the compiled twin)."""
+    bit_generator = np.random.PCG64(0)  # a seed spares OS entropy; the state is set next
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state % (1 << 128), "inc": inc % (1 << 128)},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     ra2 = r_a * r_a
     rb2 = r_b * r_b
     span = x_hi - x_lo

@@ -29,7 +29,7 @@ from numbers import Real
 import numpy as np
 
 from .geometry import Sphere, distance_radius_ratio, siou
-from .matching import GridSpec, _cell_center
+from .matching import GridSpec, _cell_center, _integer
 
 
 @dataclass
@@ -162,8 +162,7 @@ def top_n_candidates(
     Returns candidates sorted by descending score (ties by ascending linear
     cell index).  Dropped cells are tallied in ``stats`` when provided.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _integer(n, "n")
     flat = grid.center_prob.ravel()
     n = min(n, flat.size)
     # Same order as np.argsort(-flat, kind="stable")[:n]: every cell above

@@ -186,12 +186,11 @@ def assign_labels(
     the claiming and ignore-ring rules.
 
     Raises:
-        ValueError: if k < 1 or k exceeds the cell count, if an annotation
-            centroid lies outside the grid's world extent, or if fewer than
-            k unclaimed cells remain for some annotation.
+        ValueError: if k is not an integer >= 1 or exceeds the cell count,
+            if an annotation centroid lies outside the grid's world extent,
+            or if fewer than k unclaimed cells remain for some annotation.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _integer(k, "k")
     if k > grid.n_cells:
         raise ValueError(f"k = {k} exceeds the cell count {grid.n_cells}")
     extent = tuple(grid.dims[2 - i] * grid.stride for i in range(3))  # (x, y, z)
@@ -208,19 +207,14 @@ def assign_labels(
                 )
         dmap = distance_map(grid, nodule.center)
         order = np.argsort(dmap.ravel(), kind="stable")
-        claimed = 0
-        for lin in order:
-            if claimed == k:
-                break
-            if labels_flat[lin] != Label.POSITIVE:
-                labels_flat[lin] = Label.POSITIVE
-                matched_flat[lin] = index
-                claimed += 1
-        if claimed < k:
+        free = order[labels_flat[order] != Label.POSITIVE]
+        if free.size < k:
             raise ValueError(
                 f"fewer than k = {k} unclaimed cells remain for annotation "
                 f"{nodule.id!r}"
             )
+        labels_flat[free[:k]] = Label.POSITIVE
+        matched_flat[free[:k]] = index
         ring = (dmap <= nodule.radius + two_r) & (
             assignment.labels == Label.NEGATIVE
         )
@@ -268,11 +262,11 @@ def ohem_refine(
     ascending linear cell index.
 
     Raises:
-        ValueError: if n < 1, the loss map is not real or its shape
-            mismatches, or the loss is not finite on some Negative cell.
+        ValueError: if n is not an integer >= 1, the loss map is not real
+            or its shape mismatches, or the loss is not finite on some
+            Negative cell.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _integer(n, "n")
     loss = np.asarray(per_cell_cls_loss)
     if loss.dtype.kind not in "biuf":
         raise ValueError(f"per-cell loss must be real numbers, got dtype {loss.dtype}")

@@ -15,23 +15,23 @@ Backends: the compiled kernel ``spheredet._mc_core`` when it has been built
 (``python setup.py build_ext --inplace`` compiles the hand-written
 ``_mc_core.c``; it needs a C compiler with 128-bit integers) and its
 ``SAMPLER`` tag matches the fallback's, otherwise the pure-numpy fallback
-``spheredet._mc_python``.  The kernel steps PCG64 itself: it reads the
-generator's state under its lock and cuts the samples into contiguous
-shares, one per usable CPU and none smaller than 2^20, each started at its
-own stream position by jump-ahead and run on its own thread.  Within a
-share, four interleaved lanes of the stream (each lane jumps four steps at a
-time) fill blocks of 1024 raw draws, and a separate vectorisable pass counts
-each block's hits.  The shares' hits are summed and the state ``samples``
-steps ahead is written back.  So both backends consume the identical stream,
-return bit-identical counts, whatever the CPU count, and leave the generator
-where ``random_raw(samples)`` does; set ``SPHEREDET_FORCE_PYTHON=1`` to force
-the fallback.  ``backend_name()`` reports which one is in use.
+``spheredet._mc_python``; ``backend_name()`` reports which one is in use.
+Both count the hits among the next ``samples`` outputs of the PCG64 stream
+at a given position, its two LCG words (state, inc), and return
+bit-identical counts.  This module cuts a call's samples into contiguous
+shares, one per usable CPU and none smaller than 2^20, reads each share's
+start words from one ``PCG64(seed)`` stepped along with ``advance``, and
+counts the shares on threads (the kernel releases the GIL, and so do most of
+the fallback's NumPy passes).  The hits are an integer sum over the same
+stream positions, so the estimate depends neither on the backend nor on the
+CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from types import ModuleType
 from typing import Optional, Tuple
 
@@ -39,6 +39,10 @@ import numpy as np
 
 from . import _mc_python
 from .geometry import Sphere, _distance
+from .matching import _integer
+
+_MIN_SHARE = 1 << 20  # fewest samples worth a thread
+_MAX_SHARES = 64
 
 
 def _select_backend(compiled: Optional[ModuleType]) -> ModuleType:
@@ -53,20 +57,67 @@ def _select_backend(compiled: Optional[ModuleType]) -> ModuleType:
     return _mc_python
 
 
-if os.environ.get("SPHEREDET_FORCE_PYTHON") == "1":
+try:
+    from . import _mc_core
+except ImportError:  # pragma: no cover - the kernel was not built
     _backend = _mc_python
 else:
-    try:
-        from . import _mc_core
-    except ImportError:  # pragma: no cover - exercised via env override
-        _backend = _mc_python
-    else:
-        _backend = _select_backend(_mc_core)
+    _backend = _select_backend(_mc_core)
 
 
 def backend_name() -> str:
     """Name of the sampling backend selected at import ("compiled"/"python")."""
     return "python" if _backend is _mc_python else "compiled"
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on, at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_hits(seed: int, samples: int, lens: Tuple[float, ...]) -> int:
+    """The backend's hits among the first ``samples`` outputs of ``PCG64(seed)``.
+
+    Share k of n covers stream positions [samples*k//n, samples*(k+1)//n).
+    The calling thread counts share 0 and a thread each other share; a share
+    whose thread cannot be started is counted on the calling thread.  An
+    exception raised in any share is raised here once every share is done.
+    """
+    n = max(1, min(samples // _MIN_SHARE, _usable_cpus(), _MAX_SHARES))
+    stream = np.random.PCG64(seed)
+    outcomes: list = [None] * n  # each share's hits, or the exception it raised
+
+    def count(k: int, state: int, inc: int, size: int) -> None:
+        try:
+            outcomes[k] = _backend.count_hits(state, inc, size, *lens)
+        except BaseException as error:
+            outcomes[k] = error
+
+    shares = []
+    for k in range(n):
+        size = samples * (k + 1) // n - samples * k // n
+        words = stream.state["state"]
+        shares.append((k, words["state"], words["inc"], size))
+        stream.advance(size)
+    threads, unstarted = [], []
+    for share in shares[1:]:
+        thread = threading.Thread(target=count, args=share)
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had
+            unstarted.append(share)
+        else:
+            threads.append(thread)
+    for share in [shares[0], *unstarted]:
+        count(*share)
+    for thread in threads:
+        thread.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return sum(outcomes)
 
 
 def _lens_box(r_a: float, r_b: float, d: float) -> Optional[Tuple[float, float, float]]:
@@ -111,10 +162,9 @@ def mc_intersection_volume(a: Sphere, b: Sphere, samples: int, seed: int) -> flo
         for disjoint pairs (the enclosing cylinder is empty).
 
     Raises:
-        ValueError: if ``samples`` < 1.
+        ValueError: if ``samples`` is not an integer >= 1.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _integer(samples, "samples")
     # Canonical argument order makes the estimate symmetric in (a, b).
     if (a.radius, a.center) > (b.radius, b.center):
         a, b = b, a
@@ -123,8 +173,6 @@ def mc_intersection_volume(a: Sphere, b: Sphere, samples: int, seed: int) -> flo
     if box is None:
         return 0.0
     x_lo, x_hi, rho = box
-    hits = _backend.count_hits(
-        np.random.PCG64(seed), int(samples), a.radius, b.radius, d, x_lo, x_hi, rho
-    )
+    hits = _count_hits(seed, samples, (a.radius, b.radius, d, x_lo, x_hi, rho))
     cylinder_volume = (x_hi - x_lo) * math.pi * (rho * rho)
     return cylinder_volume * (hits / samples)

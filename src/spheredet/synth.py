@@ -18,7 +18,7 @@ import numpy as np
 
 from .decode import PredictionGrid
 from .geometry import _distance
-from .matching import GridSpec, NoduleAnnotation, _cell_offset
+from .matching import GridSpec, NoduleAnnotation, _cell_offset, _integer
 
 _MAX_PLACEMENT_ATTEMPTS = 1000
 
@@ -172,8 +172,7 @@ def generate_scan(
 
 def generate_dataset(spec: SyntheticSpec, n_scans: int, seed: int) -> List[ScanRecord]:
     """Generates ``n_scans`` independent scans from one master seed."""
-    if n_scans < 1:
-        raise ValueError(f"n_scans must be >= 1, got {n_scans}")
+    n_scans = _integer(n_scans, "n_scans")
     children = np.random.SeedSequence(seed).spawn(n_scans)
     return [
         generate_scan(spec, f"synth-{index:04d}", np.random.Generator(np.random.PCG64(child)))

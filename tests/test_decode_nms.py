@@ -92,6 +92,10 @@ def test_top_n_counts_dropped_cells():
 def test_top_n_rejects_bad_n():
     with pytest.raises(ValueError):
         top_n_candidates(empty_grid(), n=0)
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        top_n_candidates(empty_grid(), n=2.5)
+    with pytest.raises(ValueError, match="n must be a number, got True"):
+        top_n_candidates(empty_grid(), n=True)
 
 
 def test_top_n_clips_to_grid_size():

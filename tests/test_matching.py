@@ -8,11 +8,16 @@ from spheredet import (
     Label,
     LabelAssignment,
     NoduleAnnotation,
+    Sphere,
+    SyntheticSpec,
     assign_labels,
     decode_cell,
     distance_map,
+    generate_dataset,
+    mc_intersection_volume,
     ohem_refine,
     regression_targets,
+    top_n_candidates,
 )
 from spheredet.decode import PredictionGrid
 from helpers import brute_force_assign, brute_force_ohem
@@ -102,6 +107,10 @@ def test_assign_validation_errors():
     grid = GridSpec(dims=(2, 2, 2), stride=1)
     with pytest.raises(ValueError, match="k"):
         assign_labels(grid, [], k=0)
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+        assign_labels(grid, [], k=2.5)
+    with pytest.raises(ValueError, match="k must be a number, got True"):
+        assign_labels(grid, [], k=True)
     with pytest.raises(ValueError, match="cell count"):
         assign_labels(grid, [], k=9)
     with pytest.raises(ValueError, match="outside"):
@@ -112,6 +121,27 @@ def test_assign_validation_errors():
             grid, [nodule((0.5, 0.5, 0.5), 0.1, "a"), nodule((0.5, 0.5, 0.5), 0.1, "b")],
             k=5,
         )
+
+
+def test_integral_float_counts_act_as_their_ints():
+    # Every count argument goes through one integer rule, which takes 1e3 as 1000.
+    grid = GridSpec(dims=(4, 4, 4), stride=4)
+    nodules = [nodule((6.0, 7.0, 8.0), 3.0)]
+    by_int, by_float = assign_labels(grid, nodules, k=7), assign_labels(grid, nodules, k=7.0)
+    np.testing.assert_array_equal(by_float.labels, by_int.labels)
+    np.testing.assert_array_equal(by_float.matched_nodule, by_int.matched_nodule)
+    loss = np.random.default_rng(3).random(grid.dims)
+    np.testing.assert_array_equal(
+        ohem_refine(by_int, loss, n=3.0).labels, ohem_refine(by_int, loss, n=3).labels
+    )
+    prediction = PredictionGrid(grid, loss, np.ones(grid.dims), np.zeros(grid.dims + (3,)))
+    assert top_n_candidates(prediction, 4.0) == top_n_candidates(prediction, 4)
+    spec = SyntheticSpec(GridSpec(dims=(12, 12, 12), stride=4), (1, 2), (4.0, 6.0))
+    assert [scan.annotations for scan in generate_dataset(spec, 2.0, seed=1)] == [
+        scan.annotations for scan in generate_dataset(spec, 2, seed=1)
+    ]
+    a, b = Sphere((0.0, 0.0, 0.0), 1.0), Sphere((1.0, 0.0, 0.0), 1.0)
+    assert mc_intersection_volume(a, b, 1e3, seed=2) == mc_intersection_volume(a, b, 1000, seed=2)
 
 
 def test_empty_annotation_list_is_all_negative():
@@ -280,6 +310,10 @@ def test_ohem_validation_errors():
     assignment = _assignment_with_positives(grid, 1)
     with pytest.raises(ValueError):
         ohem_refine(assignment, np.zeros(grid.dims), n=0)
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        ohem_refine(assignment, np.zeros(grid.dims), n=2.5)
+    with pytest.raises(ValueError, match="n must be a number, got True"):
+        ohem_refine(assignment, np.zeros(grid.dims), n=True)
     with pytest.raises(ValueError):
         ohem_refine(assignment, np.zeros((3, 3, 3)), n=1)
     bad = np.zeros(grid.dims)

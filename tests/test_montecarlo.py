@@ -1,15 +1,11 @@
 """Sampling-based volume estimate vs the closed form, and backend parity."""
 
-import datetime
 import importlib
-import json
+import inspect
 import math
-import os
-import subprocess
 import sys
 import threading
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,32 +80,66 @@ def test_offaxis_pair_matches_closed_form():
 
 def test_rejects_bad_sample_count():
     a, b = _pair(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        mc_intersection_volume(a, b, samples=0, seed=0)
+    for samples, message in [
+        (0, "samples must be >= 1, got 0"),
+        (2.5, "samples must be an integer, got 2.5"),
+        (True, "samples must be a number, got True"),
+    ]:
+        with pytest.raises(ValueError) as error:
+            mc_intersection_volume(a, b, samples=samples, seed=0)
+        assert str(error.value) == message
 
 
 # Raw draws per block of the compiled kernel (BLOCK in _mc_core.c).
 _BLOCK = 1024
-# Fewest samples per share of one compiled call (MIN_SHARE in _mc_core.c).
+# Fewest samples per share of one estimate (montecarlo._MIN_SHARE).
 _SHARE = 1 << 20
 # A fixed 128-bit jump, drawn once at random.
 _JUMP = 0xA5E1_7C39_0D4B_F2E8_6613_9B07_C4AD_5F21
 
 
+def _words(generator):
+    """The (state, inc) LCG words of a PCG64 generator."""
+    words = generator.state["state"]
+    return words["state"], words["inc"]
+
+
+def _generator_at(words):
+    """A PCG64 generator at the stream position (state, inc)."""
+    generator = np.random.PCG64()
+    generator.state = {"bit_generator": "PCG64", "state": dict(zip(("state", "inc"), words)),
+                       "has_uint32": 0, "uinteger": 0}
+    return generator
+
+
 def _fresh():
-    return np.random.PCG64(123)
+    return _words(np.random.PCG64(123))
 
 
 def _jumped():
-    return np.random.PCG64(123).advance(_JUMP)
+    return _words(np.random.PCG64(123).advance(_JUMP))
 
 
 def _holding_a_uint32():
-    # One 32-bit draw leaves the other half of a 64-bit output buffered.
+    # One 32-bit draw leaves the other half of a 64-bit output buffered; the
+    # buffer is no part of the stream position, so both backends ignore it.
     generator = np.random.PCG64(123)
     np.random.Generator(generator).integers(0, 1 << 32, dtype=np.uint32)
     assert generator.state["has_uint32"] == 1
-    return generator
+    return _words(generator)
+
+
+def _starts(make, n):
+    """make()'s words, and the same stream advanced by a random 128-bit jump."""
+    jump = int.from_bytes(np.random.default_rng(abs(n)).bytes(16), "little")
+    words = make()
+    return [words, _words(_generator_at(words).advance(jump))]
+
+
+def _kernel(backend):
+    if backend == "compiled":
+        return pytest.importorskip("spheredet._mc_core")
+    return _mc_python
 
 
 @pytest.mark.parametrize(
@@ -128,65 +158,110 @@ def _holding_a_uint32():
     ],
 )
 def test_backends_count_identically(n, make):
-    # The counts straddle the compiled kernel's lane groups, blocks and shares
-    # (uneven ones at 5 * 2^20 + 3) and the fallback's 2^20-sample chunks;
-    # both must leave the generator where random_raw(n) does.
+    # The counts straddle the compiled kernel's lane groups and blocks and the
+    # fallback's chunks; a count of n <= 0 is 0.
     compiled = pytest.importorskip("spheredet._mc_core")
-    for r_a, r_b, d in PAIRS:
-        box = _lens_box(r_a, r_b, d)
-        assert box is not None
-        x_lo, x_hi, rho = box
-        generator_compiled, generator_python = make(), make()
-        before = generator_compiled.state
-        hits_compiled = compiled.count_hits(
-            generator_compiled, n, r_a, r_b, d, x_lo, x_hi, rho
-        )
-        hits_python = _mc_python.count_hits(
-            generator_python, n, r_a, r_b, d, x_lo, x_hi, rho
-        )
-        assert hits_compiled == hits_python
-        assert generator_compiled.state == generator_python.state
-        if n <= 0:
-            assert generator_compiled.state == before
+    for state, inc in _starts(make, n):
+        for r_a, r_b, d in PAIRS:
+            box = _lens_box(r_a, r_b, d)
+            assert box is not None
+            hits_compiled = compiled.count_hits(state, inc, n, r_a, r_b, d, *box)
+            hits_python = _mc_python.count_hits(state, inc, n, r_a, r_b, d, *box)
+            assert hits_compiled == hits_python
+            if n <= 0:
+                assert hits_compiled == 0
 
 
-_PINNED_CHILD = """
-import json, os, sys
-import numpy as np
-from spheredet import _mc_core
-os.sched_setaffinity(0, {int(sys.argv[1])})
-assert len(os.sched_getaffinity(0)) == 1
-generator = np.random.PCG64(2024)
-hits = _mc_core.count_hits(generator, *json.loads(sys.argv[2]))
-print(json.dumps([hits, generator.state]))
-"""
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_backends_take_the_words_modulo_2_128(backend):
+    kernel = _kernel(backend)
+    state, inc = _jumped()
+    args = (_BLOCK + 5, 1.0, 3.0, 2.5, *_lens_box(1.0, 3.0, 2.5))
+    expected = kernel.count_hits(state, inc, *args)
+    assert kernel.count_hits(state + (1 << 128), inc - (3 << 128), *args) == expected
+    assert kernel.count_hits(state - (1 << 128), inc + (1 << 129), *args) == expected
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
-def test_compiled_count_does_not_depend_on_the_cpu_count():
-    # A child process pinned to one CPU counts in a single share; this
-    # process counts in one share per CPU it may use.
+def test_backends_declare_one_signature():
     compiled = pytest.importorskip("spheredet._mc_core")
-    args = [4 * _SHARE + 5, 1.0, 3.0, 2.5, *_lens_box(1.0, 3.0, 2.5)]
-    generator = np.random.PCG64(2024)
-    hits = compiled.count_hits(generator, *args)
-    source_root = str(Path(spheredet.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", _PINNED_CHILD, str(min(os.sched_getaffinity(0))),
-         json.dumps(args)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert json.loads(child.stdout) == [hits, generator.state]
+    names = list(inspect.signature(_mc_python.count_hits).parameters)
+    assert list(inspect.signature(compiled.count_hits).parameters) == names
+    assert names[:3] == ["state", "inc", "samples"]
 
 
-def _reference_count(seed, n, r_a, r_b, d, x_lo, x_hi, rho):
-    """Plain-Python sampler: one raw PCG64 output per sample, high 32 bits
-    to the axial position, low 32 bits to the squared radial distance."""
+def _assert_count_does_not_depend_on_the_cpu_count(backend, monkeypatch):
+    # Each forced CPU count cuts the estimate into that many shares; every
+    # total must equal one plain count over the whole stream.
+    samples, seed, lens = 5 * _SHARE + 3, 2024, (1.0, 3.0, 2.5, *_lens_box(1.0, 3.0, 2.5))
+    expected = _mc_python.count_hits(*_words(np.random.PCG64(seed)), samples, *lens)
+    sizes = []
+
+    def recording_count(state, inc, size, *rest):
+        sizes.append(size)
+        return backend.count_hits(state, inc, size, *rest)
+
+    monkeypatch.setattr(montecarlo, "_backend", types.SimpleNamespace(count_hits=recording_count))
+    for cpus in (1, 2, 3, 5):
+        sizes.clear()
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        assert montecarlo._count_hits(seed, samples, lens) == expected
+        assert len(sizes) == cpus and sum(sizes) == samples
+
+
+def test_compiled_count_does_not_depend_on_the_cpu_count(monkeypatch):
+    _assert_count_does_not_depend_on_the_cpu_count(_kernel("compiled"), monkeypatch)
+
+
+def test_fallback_count_does_not_depend_on_the_cpu_count(monkeypatch):
+    _assert_count_does_not_depend_on_the_cpu_count(_mc_python, monkeypatch)
+
+
+@pytest.mark.parametrize("on_calling_thread", [True, False], ids=["calling", "worker"])
+def test_a_failing_share_makes_the_estimate_fail(monkeypatch, on_calling_thread):
+    calling = threading.current_thread()
+
+    def failing_count(*args):
+        if (threading.current_thread() is calling) == on_calling_thread:
+            raise FloatingPointError("share failed")
+        return _mc_python.count_hits(*args)
+
+    monkeypatch.setattr(montecarlo, "_backend", types.SimpleNamespace(count_hits=failing_count))
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    a, b = _pair(1.0, 3.0, 2.5)
+    with pytest.raises(FloatingPointError, match="share failed"):
+        mc_intersection_volume(a, b, samples=3 * _SHARE, seed=4)
+
+
+def test_shares_whose_thread_cannot_start_run_on_the_calling_thread(monkeypatch):
+    a, b = _pair(1.0, 3.0, 2.5)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    expected = mc_intersection_volume(a, b, samples=3 * _SHARE + 5, seed=6)
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert mc_intersection_volume(a, b, samples=3 * _SHARE + 5, seed=6) == expected
+
+
+@pytest.mark.parametrize("samples", [1, _SHARE + 7, 3 * _SHARE + 5])
+def test_estimates_are_equal_on_both_backends(monkeypatch, samples):
+    compiled = pytest.importorskip("spheredet._mc_core")
+    for r_a, r_b, d in PAIRS[:4]:
+        a, b = _pair(r_a, r_b, d)
+        monkeypatch.setattr(montecarlo, "_backend", compiled)
+        estimate = mc_intersection_volume(a, b, samples, seed=31)
+        monkeypatch.setattr(montecarlo, "_backend", _mc_python)
+        assert mc_intersection_volume(a, b, samples, seed=31) == estimate
+
+
+def _reference_count(words, n, r_a, r_b, d, x_lo, x_hi, rho):
+    """Plain-Python sampler: one raw PCG64 output per sample, from the stream
+    at the LCG words (state, inc), high 32 bits to the axial position, low 32
+    bits to the squared radial distance."""
     ra2, rb2, span, rho2 = r_a * r_a, r_b * r_b, x_hi - x_lo, rho * rho
     hits = 0
-    for r in np.random.PCG64(seed).random_raw(n).tolist():
+    for r in _generator_at(words).random_raw(n).tolist():
         x = x_lo + (r >> 32) * 2.0**-32 * span
         t = (r & 0xFFFFFFFF) * 2.0**-32 * rho2
         hits += x * x + t <= ra2 and (x - d) * (x - d) + t <= rb2
@@ -196,21 +271,19 @@ def _reference_count(seed, n, r_a, r_b, d, x_lo, x_hi, rho):
 @pytest.mark.parametrize("backend", ["python", "compiled"])
 @pytest.mark.parametrize("n", [1, 2, 1000])
 def test_backends_count_as_the_reference_loop(backend, n):
-    if backend == "compiled":
-        kernel = pytest.importorskip("spheredet._mc_core")
-    else:
-        kernel = _mc_python
-    for r_a, r_b, d in PAIRS:
-        box = _lens_box(r_a, r_b, d)
-        assert box is not None
-        expected = _reference_count(77, n, r_a, r_b, d, *box)
-        assert kernel.count_hits(np.random.PCG64(77), n, r_a, r_b, d, *box) == expected
+    kernel = _kernel(backend)
+    for words in _starts(lambda: _words(np.random.PCG64(77)), n):
+        for r_a, r_b, d in PAIRS:
+            box = _lens_box(r_a, r_b, d)
+            assert box is not None
+            expected = _reference_count(words, n, r_a, r_b, d, *box)
+            assert kernel.count_hits(*words, n, r_a, r_b, d, *box) == expected
 
 
 def test_estimate_is_cylinder_volume_times_hit_fraction():
     a, b = _pair(1.0, 3.0, 2.5)  # already in the canonical (smaller radius first) order
     x_lo, x_hi, rho = _lens_box(1.0, 3.0, 2.5)
-    hits = _reference_count(5, 1000, 1.0, 3.0, 2.5, x_lo, x_hi, rho)
+    hits = _reference_count(_words(np.random.PCG64(5)), 1000, 1.0, 3.0, 2.5, x_lo, x_hi, rho)
     expected = (x_hi - x_lo) * math.pi * (rho * rho) * (hits / 1000)
     assert mc_intersection_volume(a, b, samples=1000, seed=5) == expected
 
@@ -222,7 +295,6 @@ def reload_montecarlo(monkeypatch):
 
     def reload_with(compiled):
         with monkeypatch.context() as patch:
-            patch.delenv("SPHEREDET_FORCE_PYTHON", raising=False)
             patch.setitem(sys.modules, "spheredet._mc_core", compiled)
             patch.setattr(spheredet, "_mc_core", compiled, raising=False)
             importlib.reload(montecarlo)
@@ -248,36 +320,6 @@ def test_a_kernel_without_the_sampler_tag_is_not_used(reload_montecarlo):
 def test_built_kernel_carries_the_fallbacks_sampler_tag():
     compiled = pytest.importorskip("spheredet._mc_core")
     assert compiled.SAMPLER == _mc_python.SAMPLER
-
-
-def test_compiled_kernel_rejects_a_foreign_capsule():
-    compiled = pytest.importorskip("spheredet._mc_core")
-    for capsule in (datetime.datetime_CAPI, None):
-        fake = types.SimpleNamespace(capsule=capsule, lock=threading.Lock())
-        with pytest.raises(ValueError, match="BitGenerator capsule"):
-            compiled.count_hits(fake, 10, 1.0, 1.0, 1.0, 0.0, 1.0, 0.5)
-        assert not fake.lock.locked()
-
-
-@pytest.mark.parametrize("kind", [np.random.Philox, np.random.PCG64DXSM])
-def test_compiled_kernel_rejects_a_bit_generator_other_than_pcg64(kind):
-    compiled = pytest.importorskip("spheredet._mc_core")
-    generator = kind(5)
-    with pytest.raises(ValueError, match="PCG64"):
-        compiled.count_hits(generator, 10, 1.0, 1.0, 1.0, 0.0, 1.0, 0.5)
-    assert generator.random_raw() == kind(5).random_raw()  # the stream did not move
-    # The lock may be reentrant, so only another thread can tell it is free.
-    acquired = []
-
-    def probe():
-        acquired.append(generator.lock.acquire(blocking=False))
-        if acquired[0]:
-            generator.lock.release()
-
-    thread = threading.Thread(target=probe)
-    thread.start()
-    thread.join()
-    assert acquired == [True]
 
 
 # --------------------------------------------------------------------------

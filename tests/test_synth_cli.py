@@ -38,6 +38,17 @@ SMALL = SyntheticSpec(
 # generator
 
 
+def test_generate_dataset_rejects_bad_scan_counts():
+    for n_scans, message in [
+        (0, "n_scans must be >= 1, got 0"),
+        (2.5, "n_scans must be an integer, got 2.5"),
+        (True, "n_scans must be a number, got True"),
+    ]:
+        with pytest.raises(ValueError) as error:
+            generate_dataset(SMALL, n_scans=n_scans, seed=11)
+        assert str(error.value) == message
+
+
 def test_generate_dataset_is_deterministic():
     a = generate_dataset(SMALL, n_scans=3, seed=11)
     b = generate_dataset(SMALL, n_scans=3, seed=11)
